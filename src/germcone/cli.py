@@ -48,10 +48,7 @@ def _cmd_analyze(args):
                               lk_exponent=args.lk_exponent,
                               assume_pure_dimensional=args.assume_pure_dimensional,
                               budget=args.budget)
-    except (ParseError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except GermEmptyError as e:
+    except (ParseError, ValueError, GermEmptyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except ResourceLimitExceeded as e:
@@ -100,13 +97,12 @@ def _cmd_betti0(args):
         if len(box) != 4:
             raise ValueError("box needs xmin,xmax,ymin,ymax")
         res = args.res if args.res == "auto" else Fraction(args.res)
+        spec = SectionSpec(f=ideal.generators[0], fixed_assignments=fixed,
+                           box=box, resolution=res)
+        result, cells = component_cells(spec, budget=args.budget)
     except (ParseError, ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    spec = SectionSpec(f=ideal.generators[0], fixed_assignments=fixed,
-                       box=box, resolution=res)
-    try:
-        result, cells = component_cells(spec, budget=args.budget)
     except ResourceLimitExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -120,7 +116,11 @@ def _cmd_betti0(args):
 
 
 def _cmd_crofton(args):
-    M = crofton_matrix(args.n)
+    try:
+        M = crofton_matrix(args.n)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
     for row in M.entries:
         print(" ".join(f"{v:.12g}" for v in row))
     return EXIT_OK

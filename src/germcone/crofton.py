@@ -23,7 +23,8 @@ def ball_volume(k):
 
 
 def crofton_matrix(n):
-    assert n >= 1
+    if n < 1:
+        raise ValueError("crofton matrix needs n >= 1")
     alpha = [ball_volume(k) for k in range(n + 1)]
     m = np.zeros((n, n))
     for i in range(1, n + 1):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from itertools import product
 
-from .polyring import GREVLEX, Polynomial
+from .polyring import GREVLEX, Polynomial, fresh_name
 
 
 def family_g(l):
@@ -43,18 +43,11 @@ def family_f(n, l):
     return f
 
 
-def _fresh(vars, base="w"):
-    name = base
-    while name in vars:
-        name = name + base
-    return name
-
-
 def transform_product(gens):
     """Cylinder over the germ: same equations, one more ambient coordinate."""
     assert gens
     vars = gens[0].vars
-    ext = vars + (_fresh(vars),)
+    ext = vars + (fresh_name(vars),)
     return [g.with_vars(ext) for g in gens]
 
 
@@ -62,7 +55,7 @@ def transform_embed(gens):
     """Flat embedding: the new coordinate is pinned to 0 by a new generator."""
     assert gens
     vars = gens[0].vars
-    name = _fresh(vars)
+    name = fresh_name(vars)
     ext = vars + (name,)
     return [g.with_vars(ext) for g in gens] + [Polynomial.variable(ext, name)]
 

@@ -1,10 +1,10 @@
 """Buchberger's algorithm and the homogenization route to tangent cones."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .localforms import initial_part
-from .polyring import (GRADED_FIRST, GREVLEX, Polynomial, divide,
-                       m_deg, m_div, m_lcm, m_mul)
+from .polyring import (GRADED_FIRST, GREVLEX, Polynomial, divide, fresh_name,
+                       m_deg, m_div, m_divides, m_lcm, m_mul)
 
 PAIR_BUDGET = 10 ** 6
 
@@ -21,7 +21,6 @@ class GermEmptyError(Exception):
 class GroebnerBasis:
     order: object
     basis: list
-    source: list = field(default_factory=list)
     reductions: int = 0
 
     def is_unit_ideal(self):
@@ -49,7 +48,7 @@ def _chain_skip(i, j, lcm_ij, basis, pending):
     for h in range(len(basis)):
         if h == i or h == j:
             continue
-        if not all(a <= b for a, b in zip(basis[h].leading_monomial(), lcm_ij)):
+        if not m_divides(basis[h].leading_monomial(), lcm_ij):
             continue
         if (min(i, h), max(i, h)) in pending:
             continue
@@ -63,11 +62,9 @@ def buchberger(gens, order, budget=PAIR_BUDGET):
     """Reduced Groebner basis of the given generators under order."""
     assert gens, "empty generator list"
     assert all(not g.is_zero() for g in gens), "zero generator"
-    source = [g.with_order(order) for g in gens]
-
     basis = []
-    for g in source:
-        g = g.monic()
+    for g in gens:
+        g = g.with_order(order).monic()
         if g not in basis:
             basis.append(g)
     pending = {(i, j) for j in range(len(basis)) for i in range(j)}
@@ -101,8 +98,7 @@ def buchberger(gens, order, budget=PAIR_BUDGET):
     basis = _minimalize(basis, order)
     basis = _interreduce(basis, order)
     basis.sort(key=lambda g: order.key(g.leading_monomial()))
-    return GroebnerBasis(order=order, basis=basis, source=source,
-                         reductions=reductions)
+    return GroebnerBasis(order=order, basis=basis, reductions=reductions)
 
 
 def _minimalize(basis, order):
@@ -110,8 +106,7 @@ def _minimalize(basis, order):
     kept = []
     for g in ranked:
         lm = g.leading_monomial()
-        if not any(all(a <= b for a, b in zip(h.leading_monomial(), lm))
-                   for h in kept):
+        if not any(m_divides(h.leading_monomial(), lm) for h in kept):
             kept.append(g)
     return kept
 
@@ -132,13 +127,6 @@ def _interreduce(basis, order):
                 basis[i] = r
                 changed = True
     return basis
-
-
-def _fresh_name(vars, base="w"):
-    name = base
-    while name in vars:
-        name = name + base
-    return name
 
 
 def homogenize(f, ext_vars):
@@ -166,7 +154,7 @@ def tangent_cone(gens, budget=PAIR_BUDGET):
             raise GermEmptyError(
                 "a generator has a nonzero constant term; the germ misses 0")
 
-    w = _fresh_name(vars)
+    w = fresh_name(vars)
     ext = (w,) + vars
     lifted = [homogenize(g, ext) for g in gens]
     gb = buchberger(lifted, GRADED_FIRST, budget)

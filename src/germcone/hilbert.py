@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .groebner import GREVLEX, buchberger, tangent_cone
+from .groebner import PAIR_BUDGET, tangent_cone
 from .polyring import m_deg, m_divides
 
 
@@ -16,10 +16,9 @@ class HilbertData:
     hilbert_polynomial: tuple  # Fraction coefficients, ascending powers
 
 
-def leading_ideal(gb):
+def leading_ideal(basis):
     """Minimal monomial generators of the leading-term ideal of a basis."""
-    monos = [g.leading_monomial() for g in gb.basis]
-    return _minimal(monos)
+    return _minimal([g.leading_monomial() for g in basis])
 
 
 def _minimal(monos):
@@ -147,10 +146,8 @@ def hilbert_function(numerator, n, t):
                for i, c in enumerate(numerator) if i <= t)
 
 
-def germ_multiplicity(gens, budget=None):
+def germ_multiplicity(gens, budget=PAIR_BUDGET):
     """Cone dimension d and multiplicity mu of the germ defined by gens."""
-    kwargs = {} if budget is None else {"budget": budget}
-    cone = tangent_cone(gens, **kwargs)
-    gb = buchberger(cone.generators, GREVLEX, **kwargs)
-    data = hilbert_series(leading_ideal(gb), len(cone.vars))
+    cone = tangent_cone(gens, budget)
+    data = hilbert_series(leading_ideal(cone.generators), len(cone.vars))
     return data.dim_affine, data.degree

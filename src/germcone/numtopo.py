@@ -10,8 +10,6 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .groebner import ResourceLimitExceeded
 
@@ -108,22 +106,27 @@ def _depth_for(width, height, resolution):
     depth = 0
     while max(width, height) / 2 ** depth > resolution:
         depth += 1
-        assert depth <= 40, "resolution too fine"
+        if depth > 40:
+            raise ValueError("resolution too fine")
     return depth
 
 
 def _occupied_cells(spec, budget):
     f = spec.f.substitute(spec.fixed_assignments)
-    assert len(f.vars) == 2, "need exactly 2 free variables"
-    assert not f.is_zero(), "zero polynomial has no curve"
+    if len(f.vars) != 2:
+        raise ValueError("need exactly 2 free variables")
+    if f.is_zero():
+        raise ValueError("zero polynomial has no curve")
     x0, x1, y0, y1 = (Fraction(v) for v in spec.box)
-    assert x1 > x0 and y1 > y0
+    if not (x1 > x0 and y1 > y0):
+        raise ValueError("box needs xmin < xmax and ymin < ymax")
     auto = spec.resolution == "auto"
     if auto:
         depth = _MAX_DEPTH
     else:
         res = Fraction(spec.resolution)
-        assert res > 0
+        if res <= 0:
+            raise ValueError("resolution must be positive")
         depth = _depth_for(x1 - x0, y1 - y0, res)
 
     enclose = _Encloser(f)
@@ -159,6 +162,10 @@ def _occupied_cells(spec, budget):
 
 
 def _component_count(ix, iy, depth):
+    # imported here so that analyze and family never load scipy.sparse
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     if ix.size == 0:
         return 0
     nside = np.int64(1) << depth

@@ -27,6 +27,14 @@ def m_deg(a):
     return sum(a)
 
 
+def fresh_name(vars):
+    """A variable name, made of w's, that is not among vars."""
+    name = "w"
+    while name in vars:
+        name += "w"
+    return name
+
+
 class MonomialOrder:
     """Total multiplicative order on exponent tuples, selected by kind.
 
@@ -35,12 +43,11 @@ class MonomialOrder:
     it is the elimination-flavored order used for cone computations.
     """
 
-    __slots__ = ("kind", "is_graded")
+    __slots__ = ("kind",)
 
     def __init__(self, kind):
         assert kind in ("grevlex", "grlex", "lex", "gradedfirst"), kind
         self.kind = kind
-        self.is_graded = kind != "lex"
 
     def key(self, m):
         if self.kind == "grevlex":

@@ -9,9 +9,8 @@ from . import __version__
 from .bounds import (UNBOUNDED, betti_sum_bound, classify,
                      lipschitz_killing_bound, op_bound, sigma_bound)
 from .crofton import crofton_matrix
-from .groebner import PAIR_BUDGET, buchberger, tangent_cone
+from .groebner import PAIR_BUDGET, tangent_cone
 from .hilbert import hilbert_series, leading_ideal
-from .polyring import GREVLEX
 from .singular import singular_dimension
 
 
@@ -29,8 +28,7 @@ def build_report(ideal, k_range=None, lk_exponent="default",
     degrees = [g.degree() for g in gens]
 
     cone = tangent_cone(gens, budget)
-    gb = buchberger(cone.generators, GREVLEX, budget)
-    hd = hilbert_series(leading_ideal(gb), n)
+    hd = hilbert_series(leading_ideal(cone.generators), n)
     d, mu = hd.dim_affine, hd.degree
     sing = singular_dimension(cone, n, d, budget=budget)
     s = sing.s

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .groebner import GREVLEX, ResourceLimitExceeded, buchberger
+from .groebner import GREVLEX, PAIR_BUDGET, ResourceLimitExceeded, buchberger
 from .hilbert import hilbert_series, leading_ideal
 from .polyring import Polynomial
 
@@ -45,17 +45,14 @@ def jacobian_minors(gens, c):
         raise ResourceLimitExceeded(
             f"singular: {comb(len(gens), c) * comb(n, c)} minors exceed cap {MINOR_CAP}")
     jac = [[g.derivative(v) for v in vars] for g in gens]
-    minors = []
-    for rows in combinations(range(len(gens)), c):
-        for cols in combinations(range(n), c):
-            sub = [[jac[i][j] for j in cols] for i in rows]
-            det = _det(sub)
-            if not det.is_zero() and det not in minors:
-                minors.append(det)
-    return minors
+    dets = (_det([[jac[i][j] for j in cols] for i in rows])
+            for rows in combinations(range(len(gens)), c)
+            for cols in combinations(range(n), c))
+    # dict keys dedup by hash and keep first-seen order
+    return list(dict.fromkeys(det for det in dets if not det.is_zero()))
 
 
-def singular_dimension(cone, n, d, budget=None):
+def singular_dimension(cone, n, d, budget=PAIR_BUDGET):
     """Dimension of Sing of the cone scheme, via expected codimension n - d."""
     gens = list(cone.generators)
     assert gens
@@ -64,9 +61,8 @@ def singular_dimension(cone, n, d, budget=None):
     sing_gens = gens + minors
     if any(m.is_constant() for m in minors):
         return SingularLocusData(sing_gens, -1, True)
-    kwargs = {} if budget is None else {"budget": budget}
-    gb = buchberger(sing_gens, GREVLEX, **kwargs)
+    gb = buchberger(sing_gens, GREVLEX, budget)
     if gb.is_unit_ideal():
         return SingularLocusData(sing_gens, -1, True)
-    data = hilbert_series(leading_ideal(gb), n)
+    data = hilbert_series(leading_ideal(gb.basis), n)
     return SingularLocusData(sing_gens, data.dim_affine, False)

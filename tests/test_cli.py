@@ -207,6 +207,30 @@ def test_betti0_rejects_bad_box(circle_file):
     assert main(["betti0", circle_file, "--box=-1,1,-1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["betti0", "CIRCLE", "--box=1,-1,-1,1"],                # reversed box
+    ["betti0", "CONE", "--box=-1,1,-1,1"],                  # 3 free variables
+    ["betti0", "CIRCLE", "--box=-1,1,-1,1",
+     "--res", "1/1000000000000000"],                        # too fine
+    ["crofton", "--n", "0"],
+])
+def test_out_of_range_arguments_exit_2(argv, circle_file, tmp_path, capsys):
+    cone = tmp_path / "cone.ideal"
+    cone.write_text("vars x, y, z;\nx^2 + y^2 - z^2;\n")
+    files = {"CIRCLE": circle_file, "CONE": str(cone)}
+    assert main([files.get(a, a) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_reversed_box_exits_2_under_optimize(circle_file):
+    # input checks must not be asserts, which -O strips
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "germcone", "betti0", circle_file,
+         "--box=1,-1,-1,1"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+
+
 def test_betti0_budget(circle_file):
     assert main(["betti0", circle_file, "--box=-2,2,-2,2", "--res", "1/256",
                  "--budget", "50"]) == 3
@@ -232,3 +256,12 @@ def test_module_invocation(worked_file):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["multiplicity_mu"] == 3
+
+
+def test_cli_import_leaves_out_scipy_sparse():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, germcone.cli; print('scipy.sparse' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"

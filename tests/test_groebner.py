@@ -12,6 +12,7 @@ from itertools import combinations_with_replacement
 import pytest
 import sympy as sp
 
+from germcone.families import family_linear_union
 from germcone.groebner import (
     GermEmptyError, GroebnerBasis, ResourceLimitExceeded, buchberger,
     homogenize, spoly, tangent_cone)
@@ -213,11 +214,15 @@ def test_cone_needs_second_pass():
 
 
 def test_cone_generators_homogeneous_and_reduced():
-    for gens in (TEST_IDEALS[0], TEST_IDEALS[3]):
+    # d and mu are read off these leading monomials with no further run,
+    # so the cone must already be the reduced grevlex basis
+    for gens in (TEST_IDEALS[0], TEST_IDEALS[3],
+                 family_linear_union(4, 3, 3, 2)):
         cone = tangent_cone(gens)
         assert all(g.is_homogeneous() for g in cone.generators)
         gb = GroebnerBasis(GREVLEX, list(cone.generators))
         assert_spolys_reduce(gb)
+        assert buchberger(cone.generators, GREVLEX).basis == cone.generators
 
 
 def test_cone_idempotent():
@@ -232,7 +237,7 @@ def test_cone_graded_dims_match_linear_algebra():
     for gens in ([X * Y, X - Z ** 2], parse_ideal(WORKED).generators):
         cone = tangent_cone(gens)
         gb = buchberger(cone.generators, GREVLEX)
-        data = hilbert_series(leading_ideal(gb), 3)
+        data = hilbert_series(leading_ideal(gb.basis), 3)
         for t in range(8):
             assert hilbert_function(data.numerator, 3, t) == \
                 graded_quotient_dim(cone.generators, t)

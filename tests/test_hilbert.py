@@ -120,7 +120,7 @@ def test_leading_ideal_is_antichain():
         "x*(x - z^3)*(x - 2*z^2);\n"
         "y*(y - z^3)*(y - 2*z^2);\n"
         "(x + y)*(x + y - z^3);\n").generators)
-    monos = leading_ideal(buchberger(cone.generators, GREVLEX))
+    monos = leading_ideal(buchberger(cone.generators, GREVLEX).basis)
     for a in monos:
         for b in monos:
             if a != b:

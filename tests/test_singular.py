@@ -28,6 +28,11 @@ def test_minors_two_by_two():
     assert minors == [4 * X * Y]
 
 
+def test_minors_dedup_keeps_first_seen_order():
+    # rows (y, x, 0) and (y, x, 1): y and x repeat in the second row
+    assert jacobian_minors([X * Y, X * Y + Z], 1) == [Y, X, 1]
+
+
 def test_minor_size_validation():
     with pytest.raises(ValueError):
         jacobian_minors([X], 2)
