@@ -100,7 +100,7 @@ def _cmd_betti0(args):
         spec = SectionSpec(f=ideal.generators[0], fixed_assignments=fixed,
                            box=box, resolution=res)
         result, cells = component_cells(spec, budget=args.budget)
-    except (ParseError, ValueError, ZeroDivisionError) as e:
+    except (OSError, ParseError, ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except ResourceLimitExceeded as e:

@@ -1,5 +1,6 @@
 """Buchberger's algorithm and the homogenization route to tangent cones."""
 
+import heapq
 from dataclasses import dataclass
 
 from .localforms import initial_part
@@ -67,16 +68,23 @@ def buchberger(gens, order, budget=PAIR_BUDGET):
         g = g.with_order(order).monic()
         if g not in basis:
             basis.append(g)
-    pending = {(i, j) for j in range(len(basis)) for i in range(j)}
+    # Pairs are taken from a heap in (lcm order, i, j) order, each key
+    # computed once; the pending set serves _chain_skip's membership test.
+    heap, pending = [], set()
+
+    def add_pairs(j):
+        lm_j = basis[j].leading_monomial()
+        for i in range(j):
+            u = m_lcm(basis[i].leading_monomial(), lm_j)
+            heapq.heappush(heap, (order.key(u), i, j))
+            pending.add((i, j))
+
+    for j in range(len(basis)):
+        add_pairs(j)
     reductions = 0
 
-    def pair_key(p):
-        i, j = p
-        u = m_lcm(basis[i].leading_monomial(), basis[j].leading_monomial())
-        return (order.key(u), i, j)
-
-    while pending:
-        i, j = min(pending, key=pair_key)
+    while heap:
+        _, i, j = heapq.heappop(heap)
         pending.remove((i, j))
         lm_i = basis[i].leading_monomial()
         lm_j = basis[j].leading_monomial()
@@ -92,8 +100,7 @@ def buchberger(gens, order, budget=PAIR_BUDGET):
         _, r = divide(spoly(basis[i], basis[j], order), basis, order)
         if not r.is_zero():
             basis.append(r.monic())
-            t = len(basis) - 1
-            pending.update((i2, t) for i2 in range(t))
+            add_pairs(len(basis) - 1)
 
     basis = _minimalize(basis, order)
     basis = _interreduce(basis, order)

@@ -65,7 +65,8 @@ class _Encloser:
     """
 
     def __init__(self, f):
-        assert len(f.vars) == 2, f.vars
+        if len(f.vars) != 2:
+            raise ValueError(f"need exactly 2 variables, got {f.vars}")
         c = _grid(f)
         fx, fy = _ddx(c), _ddy(c)
         self.c, self.fx, self.fy = c, fx, fy
@@ -95,7 +96,8 @@ def interval_eval(f, cell):
     (x0, x1), (y0, y1) = cell
     wx = float(x1) - float(x0)
     wy = float(y1) - float(y0)
-    assert wx >= 0 and wy >= 0
+    if not (wx >= 0 and wy >= 0):
+        raise ValueError(f"reversed cell {cell}")
     cx = np.array([float(x0) + 0.5 * wx])
     cy = np.array([float(y0) + 0.5 * wy])
     lo, hi = _Encloser(f)(cx, cy, wx, wy)

@@ -338,10 +338,11 @@ def divide(f, divisors, order):
     """Multivariate division: f = sum(q_i * divisors_i) + r.
 
     Divisors are tried in list order at every step.  No monomial of the
-    remainder is divisible by any divisor's leading monomial.
+    remainder is divisible by any divisor's leading monomial.  Popped
+    monomials strictly decrease, so each quotient monomial is written once.
     """
     assert all(not d.is_zero() for d in divisors), "zero divisor"
-    quotients = [Polynomial.zero(f.vars, order) for _ in divisors]
+    quotients = [{} for _ in divisors]
     remainder = {}
     lead = [(d.with_order(order)) for d in divisors]
     p = dict(f.terms)
@@ -354,8 +355,7 @@ def divide(f, divisors, order):
             if m_divides(lm, mono):
                 q = m_div(mono, lm)
                 factor = coeff / lc
-                quotients[i] = quotients[i] + Polynomial(
-                    f.vars, {q: factor}, order)
+                quotients[i][q] = factor
                 for m2, c2 in d.terms[1:]:
                     mm = m_mul(q, m2)
                     c = p.get(mm, 0) - factor * c2
@@ -366,4 +366,5 @@ def divide(f, divisors, order):
                 break
         else:
             remainder[mono] = coeff
-    return quotients, Polynomial(f.vars, remainder, order)
+    return ([Polynomial(f.vars, q, order) for q in quotients],
+            Polynomial(f.vars, remainder, order))

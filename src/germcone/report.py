@@ -3,7 +3,6 @@
 import platform
 
 import numpy
-import scipy
 
 from . import __version__
 from .bounds import (UNBOUNDED, betti_sum_bound, classify,
@@ -64,6 +63,9 @@ def build_report(ideal, k_range=None, lk_exponent="default",
                                     pure_dim=pure, exponent=lk_exponent)
         lk_rows.append({"k": k, "bound": _emitted(b)})
 
+    # only its version is reported; imported here so that importing the CLI
+    # leaves scipy out (importlib.metadata.version costs twice the time)
+    import scipy
     return {
         "input": ideal.source,
         "n": n,

@@ -213,11 +213,13 @@ def test_betti0_rejects_bad_box(circle_file):
     ["betti0", "CIRCLE", "--box=-1,1,-1,1",
      "--res", "1/1000000000000000"],                        # too fine
     ["crofton", "--n", "0"],
+    ["betti0", "MISSING", "--box=-1,1,-1,1"],               # unreadable file
 ])
 def test_out_of_range_arguments_exit_2(argv, circle_file, tmp_path, capsys):
     cone = tmp_path / "cone.ideal"
     cone.write_text("vars x, y, z;\nx^2 + y^2 - z^2;\n")
-    files = {"CIRCLE": circle_file, "CONE": str(cone)}
+    files = {"CIRCLE": circle_file, "CONE": str(cone),
+             "MISSING": str(tmp_path / "missing.ideal")}
     assert main([files.get(a, a) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
@@ -261,7 +263,8 @@ def test_module_invocation(worked_file):
 def test_cli_import_leaves_out_scipy_sparse():
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, germcone.cli; print('scipy.sparse' in sys.modules)"],
+         "import sys, germcone.cli; "
+         "print('scipy.sparse' in sys.modules, 'scipy' in sys.modules)"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]

@@ -18,7 +18,8 @@ from germcone.groebner import (
     homogenize, spoly, tangent_cone)
 from germcone.hilbert import hilbert_function, hilbert_series, leading_ideal
 from germcone.parser import parse_ideal
-from germcone.polyring import GREVLEX, LEX, Polynomial, divide, m_deg
+from germcone.polyring import (GRADED_FIRST, GREVLEX, LEX, Polynomial, divide,
+                               fresh_name, m_deg)
 
 V3 = ("x", "y", "z")
 X = Polynomial.variable(V3, "x")
@@ -152,6 +153,31 @@ def test_unit_ideal_detection():
 def test_budget_exhausts():
     with pytest.raises(ResourceLimitExceeded):
         buchberger(parse_ideal(WORKED).generators, GREVLEX, budget=2)
+
+
+def _worked_cone_run():
+    gens = parse_ideal(WORKED).generators
+    ext = (fresh_name(gens[0].vars),) + gens[0].vars
+    return [homogenize(g, ext) for g in gens], GRADED_FIRST
+
+
+PINNED_WORK = [
+    (lambda: (parse_ideal(WORKED).generators, GREVLEX), (17, 7)),
+    (_worked_cone_run, (27, 15)),
+    (lambda: (family_linear_union(4, 3, 3, 2), GREVLEX), (22, 8)),
+]
+
+
+@pytest.mark.parametrize("make, work", PINNED_WORK,
+                         ids=["worked", "worked-cone", "union-4332"])
+def test_pair_order_pins_the_work(make, work):
+    # the pair queue may get faster but must not reorder: the same pairs
+    # are reduced, so the count, the basis and the budget cut-off stay put
+    gens, order = make()
+    gb = buchberger(gens, order)
+    assert (gb.reductions, len(gb.basis)) == work
+    with pytest.raises(ResourceLimitExceeded):
+        buchberger(gens, order, budget=work[0] - 1)
 
 
 def test_agrees_with_sympy():

@@ -1,5 +1,7 @@
 """Interval enclosures and component counting on plane sections."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -58,6 +60,32 @@ def test_enclosure_sign_definite_away_from_zero():
     lo, _ = interval_eval(CIRCLE, ((Fraction(2), Fraction(5, 2)),
                                    (Fraction(0), Fraction(1, 2))))
     assert lo > 0
+
+
+@pytest.mark.parametrize("f, cell", [
+    (CIRCLE, ((1, 0), (0, 1))),                                # reversed
+    (Polynomial.variable(("x", "y", "z"), "x"), ((0, 1), (0, 1))),
+])
+def test_enclosure_rejects_bad_input(f, cell):
+    with pytest.raises(ValueError):
+        interval_eval(f, cell)
+
+
+def test_enclosure_rejects_reversed_cell_under_optimize():
+    # input checks must not be asserts, which -O strips; the enclosure
+    # (-1.5, 0.5) it returned there misses the maximum 1 of f on the square
+    code = ("from germcone.numtopo import interval_eval\n"
+            "from germcone.polyring import Polynomial\n"
+            "x = Polynomial.variable(('x', 'y'), 'x')\n"
+            "y = Polynomial.variable(('x', 'y'), 'y')\n"
+            "try:\n"
+            "    interval_eval(x**2 + y**2 - 1, ((1, 0), (0, 1)))\n"
+            "except ValueError:\n"
+            "    print('rejected')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rejected"
 
 
 # --- component counts ---
