@@ -28,11 +28,20 @@ def _k_range(text):
 
 
 def _write(path, text):
+    """Writes text to path, or to stdout when path is None.
+
+    Returns False, with `error:` on stderr, when path cannot be written.
+    """
     if path is None:
         sys.stdout.write(text)
-    else:
+        return True
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_analyze(args):
@@ -54,7 +63,8 @@ def _cmd_analyze(args):
     except ResourceLimitExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    _write(args.output, emit_report(report))
+    if not _write(args.output, emit_report(report)):
+        return EXIT_PARSE
     return EXIT_NO_BOUND if report_has_unbounded(report) else EXIT_OK
 
 
@@ -70,8 +80,7 @@ def _cmd_family(args):
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     ideal = IdealFile(vars=gens[0].vars, generators=gens)
-    _write(args.output, format_ideal(ideal))
-    return EXIT_OK
+    return EXIT_OK if _write(args.output, format_ideal(ideal)) else EXIT_PARSE
 
 
 def _parse_fix(text, names):
@@ -107,10 +116,9 @@ def _cmd_betti0(args):
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RESOURCE
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("cx,cy,wx,wy\n")
-            for cx, cy, wx, wy in cells:
-                fh.write(f"{cx!r},{cy!r},{wx!r},{wy!r}\n")
+        rows = "".join(f"{cx!r},{cy!r},{wx!r},{wy!r}\n" for cx, cy, wx, wy in cells)
+        if not _write(args.csv, "cx,cy,wx,wy\n" + rows):
+            return EXIT_PARSE
     print(result.count)
     return EXIT_OK
 

@@ -63,11 +63,8 @@ def buchberger(gens, order, budget=PAIR_BUDGET):
     """Reduced Groebner basis of the given generators under order."""
     assert gens, "empty generator list"
     assert all(not g.is_zero() for g in gens), "zero generator"
-    basis = []
-    for g in gens:
-        g = g.with_order(order).monic()
-        if g not in basis:
-            basis.append(g)
+    # dict keys dedup by hash and keep first-seen order
+    basis = list(dict.fromkeys(g.with_order(order).monic() for g in gens))
     # Pairs are taken from a heap in (lcm order, i, j) order, each key
     # computed once; the pending set serves _chain_skip's membership test.
     heap, pending = [], set()

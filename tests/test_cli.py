@@ -214,12 +214,16 @@ def test_betti0_rejects_bad_box(circle_file):
      "--res", "1/1000000000000000"],                        # too fine
     ["crofton", "--n", "0"],
     ["betti0", "MISSING", "--box=-1,1,-1,1"],               # unreadable file
+    ["analyze", "CONE", "-o", "NODIR"],                     # unwritable output
+    ["family", "g", "--l", "2", "-o", "NODIR"],
+    ["betti0", "CIRCLE", "--box=-2,2,-2,2", "--csv", "NODIR"],
 ])
 def test_out_of_range_arguments_exit_2(argv, circle_file, tmp_path, capsys):
     cone = tmp_path / "cone.ideal"
     cone.write_text("vars x, y, z;\nx^2 + y^2 - z^2;\n")
     files = {"CIRCLE": circle_file, "CONE": str(cone),
-             "MISSING": str(tmp_path / "missing.ideal")}
+             "MISSING": str(tmp_path / "missing.ideal"),
+             "NODIR": str(tmp_path / "no" / "such" / "dir" / "out")}
     assert main([files.get(a, a) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error:")
 

@@ -1,11 +1,18 @@
 """Jacobian criterion on tangent cones: minors, emptiness, dimension."""
 
+import json
+from fractions import Fraction
+
 import pytest
 
+from germcone import singular
+from germcone.cli import main
+from germcone.families import family_g, family_linear_union
 from germcone.groebner import ResourceLimitExceeded, TangentConeIdeal, tangent_cone
+from germcone.hilbert import hilbert_series, leading_ideal
 from germcone.parser import parse_ideal
 from germcone.polyring import Polynomial
-from germcone.singular import MINOR_CAP, jacobian_minors, singular_dimension
+from germcone.singular import MINOR_CAP, P, jacobian_minors, singular_dimension
 
 V3 = ("x", "y", "z")
 X = Polynomial.variable(V3, "x")
@@ -106,3 +113,101 @@ def test_union_of_two_planes():
     cone = cone_of([Z * (Z - X)])
     data = singular_dimension(cone, 3, 2)
     assert data.s == 1
+
+
+# --- the m-primary certificate ahead of the exact path ---
+
+def _counting_buchberger(monkeypatch):
+    calls = []
+    real = singular.buchberger
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(singular, "buchberger", counted)
+    return calls
+
+
+def _cone_n_d(gens):
+    cone = tangent_cone(gens)
+    n = len(gens[0].vars)
+    return cone, n, hilbert_series(leading_ideal(cone.generators), n).dim_affine
+
+
+@pytest.mark.parametrize("args", [(3, 2, 2, 2), (4, 3, 3, 1), (4, 3, 3, 2),
+                                  (5, 3, 3, 1)])
+def test_certificate_agrees_with_exact_path(args, monkeypatch):
+    cone, n, d = _cone_n_d(family_linear_union(*args))
+    calls = _counting_buchberger(monkeypatch)
+    fast = singular_dimension(cone, n, d)
+    assert not calls                    # the certificate settled it
+    monkeypatch.setattr(singular, "_m_primary", lambda *_: False)
+    exact = singular_dimension(cone, n, d)
+    assert calls
+    assert fast == exact
+    assert fast.s == 0
+
+
+@pytest.mark.parametrize("gens", [
+    parse_ideal("vars x, y, z;\n"
+                "x*(x - z^3)*(x - 2*z^2);\n"
+                "y*(y - z^3)*(y - 2*z^2);\n"
+                "(x + y)*(x + y - z^3);\n").generators,
+    [family_g(2)],
+], ids=["worked", "g2"])
+def test_non_filling_germs_still_run_buchberger(gens, monkeypatch):
+    cone, n, d = _cone_n_d(gens)
+    calls = _counting_buchberger(monkeypatch)
+    assert singular_dimension(cone, n, d).s >= 1
+    assert calls
+
+
+@pytest.mark.parametrize("den, fires", [(3, True), (P, False)])
+def test_denominator_divisible_by_p_falls_back(den, fires, monkeypatch):
+    f = X ** 2 + Y ** 2 - Fraction(1, den) * Z ** 2
+    cone = TangentConeIdeal(vars=V3, generators=[f])
+    calls = _counting_buchberger(monkeypatch)
+    data = singular_dimension(cone, 3, 2)
+    assert bool(calls) is not fires
+    assert (data.s, data.empty) == (0, False)
+
+
+def _forbid(monkeypatch, name):
+    def trap(*_):
+        raise AssertionError(f"singular.{name} was called")
+
+    monkeypatch.setattr(singular, name, trap)
+
+
+def test_union_5332_analyze_takes_the_certificate(tmp_path, monkeypatch):
+    ideal, out = tmp_path / "u.ideal", tmp_path / "u.json"
+    assert main(["family", "union", "--n", "5", "--d", "3", "--k", "3",
+                 "--l", "2", "-o", str(ideal)]) == 0
+    for name in ("buchberger", "jacobian_minors"):
+        _forbid(monkeypatch, name)
+    assert main(["analyze", str(ideal), "-o", str(out)]) in (0, 4)
+    report = json.loads(out.read_text())
+    assert [report[k] for k in ("dimension_d", "multiplicity_mu",
+                                "singular_dimension_s")] == [3, 1, 0]
+
+
+def _squares(k, n):
+    """x0^2, ..., x(k-1)^2 in n variables: a cone with d = n - k, c = k."""
+    vars = tuple(f"x{i}" for i in range(n))
+    gens = [Polynomial.variable(vars, v) ** 2 for v in vars[:k]]
+    return TangentConeIdeal(vars=vars, generators=gens)
+
+
+def test_certificate_skips_large_minors(monkeypatch):
+    # c = 8: a draw would be a dense 8 x 8 cofactor expansion
+    _forbid(monkeypatch, "_lincomb")
+    data = singular_dimension(_squares(8, 9), 9, 1)
+    assert (data.s, data.empty) == (1, False)     # the x8 axis
+
+
+def test_certificate_skips_inputs_over_minor_cap(monkeypatch):
+    # C(24, 12) minors of size 12: refused as before the certificate
+    _forbid(monkeypatch, "_lincomb")
+    with pytest.raises(ResourceLimitExceeded):
+        singular_dimension(_squares(12, 24), 24, 12)
