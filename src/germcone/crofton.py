@@ -1,6 +1,8 @@
 """Unit-ball volumes and the upper-triangular Cauchy-Crofton matrix."""
 
+import sys
 from dataclasses import dataclass
+from itertools import islice
 from math import comb, pi
 
 import numpy as np
@@ -12,20 +14,32 @@ class CroftonMatrix:
     entries: np.ndarray    # (n, n) float64, 1-indexed entries at [i-1, j-1]
 
 
+def _ball_volumes():
+    """Unit-ball volumes in dimensions 0, 1, 2, ..., by the two-step recurrence."""
+    k, a, b = 0, 1.0, 2.0
+    while True:
+        yield a
+        k += 1
+        a, b = b, a * 2.0 * pi / (k + 1)
+
+
 def ball_volume(k):
     """Volume of the k-dimensional unit ball, via the two-step recurrence."""
     assert k >= 0
-    if k == 0:
-        return 1.0
-    if k == 1:
-        return 2.0
-    return ball_volume(k - 2) * 2.0 * pi / k
+    return next(islice(_ball_volumes(), k, None))
 
 
 def crofton_matrix(n):
     if n < 1:
         raise ValueError("crofton matrix needs n >= 1")
-    alpha = [ball_volume(k) for k in range(n + 1)]
+    alpha = []
+    for k, v in zip(range(n + 1), _ball_volumes()):
+        # the entries divide by these volumes; below the normal float
+        # range they lose precision and soon reach 0.0
+        if v < sys.float_info.min:
+            raise ValueError(f"crofton matrix needs n < {k}: the unit-ball "
+                             f"volume in dimension {k} is below float range")
+        alpha.append(v)
     m = np.zeros((n, n))
     for i in range(1, n + 1):
         m[i - 1, i - 1] = 1.0

@@ -99,10 +99,7 @@ def buchberger(gens, order, budget=PAIR_BUDGET):
             basis.append(r.monic())
             add_pairs(len(basis) - 1)
 
-    basis = _minimalize(basis, order)
-    basis = _interreduce(basis, order)
-    basis.sort(key=lambda g: order.key(g.leading_monomial()))
-    return GroebnerBasis(order=order, basis=basis, reductions=reductions)
+    return GroebnerBasis(order, _interreduce(basis, order), reductions)
 
 
 def _minimalize(basis, order):
@@ -116,7 +113,8 @@ def _minimalize(basis, order):
 
 
 def _interreduce(basis, order):
-    basis = list(basis)
+    """The reduced basis of a Groebner basis, in ascending leading monomials."""
+    basis = _minimalize(basis, order)
     changed = True
     while changed:
         changed = False
@@ -146,6 +144,10 @@ def tangent_cone(gens, budget=PAIR_BUDGET):
     Each generator is homogenized by a fresh variable placed first in a
     graded order that ranks it above the others, so setting it back to 1
     turns leading terms into initial forms of standard-basis elements.
+    That order homogenizes a local degree order, so the initial forms of
+    the dehomogenized basis are already a grevlex Groebner basis of the
+    cone (Lazard, EUROCAL 1983; Mora, EUROCAM 1982): interreducing them
+    gives the reduced basis with no second Buchberger run.
     """
     assert gens, "empty generator list"
     vars = gens[0].vars
@@ -169,9 +171,5 @@ def tangent_cone(gens, budget=PAIR_BUDGET):
         init = initial_part(flat).init
         if init.min_degree() == 0:
             raise GermEmptyError("unit ideal: the germ misses 0")
-        if init not in inits:
-            inits.append(init)
-
-    # a second (cheap, homogeneous) run canonicalizes and drops redundancy
-    reduced = buchberger(inits, GREVLEX, budget)
-    return TangentConeIdeal(vars=vars, generators=list(reduced.basis))
+        inits.append(init.monic())
+    return TangentConeIdeal(vars=vars, generators=_interreduce(inits, GREVLEX))

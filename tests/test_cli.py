@@ -213,6 +213,9 @@ def test_betti0_rejects_bad_box(circle_file):
     ["betti0", "CIRCLE", "--box=-1,1,-1,1",
      "--res", "1/1000000000000000"],                        # too fine
     ["crofton", "--n", "0"],
+    ["crofton", "--n", "700"],                              # volumes underflow
+    ["crofton", "--n", "2100"],
+    ["analyze", "X700"],                                    # x1 in 700 variables
     ["betti0", "MISSING", "--box=-1,1,-1,1"],               # unreadable file
     ["analyze", "CONE", "-o", "NODIR"],                     # unwritable output
     ["family", "g", "--l", "2", "-o", "NODIR"],
@@ -221,7 +224,10 @@ def test_betti0_rejects_bad_box(circle_file):
 def test_out_of_range_arguments_exit_2(argv, circle_file, tmp_path, capsys):
     cone = tmp_path / "cone.ideal"
     cone.write_text("vars x, y, z;\nx^2 + y^2 - z^2;\n")
-    files = {"CIRCLE": circle_file, "CONE": str(cone),
+    wide = tmp_path / "wide.ideal"
+    wide.write_text("vars " + ", ".join(f"x{i}" for i in range(1, 701))
+                    + ";\nx1;\n")
+    files = {"CIRCLE": circle_file, "CONE": str(cone), "X700": str(wide),
              "MISSING": str(tmp_path / "missing.ideal"),
              "NODIR": str(tmp_path / "no" / "such" / "dir" / "out")}
     assert main([files.get(a, a) for a in argv]) == 2

@@ -76,3 +76,12 @@ def test_principal_submatrix_stable():
     big = crofton_matrix(9).entries
     small = crofton_matrix(4).entries
     assert np.allclose(big[:4, :4], small, atol=1e-14)
+
+
+def test_limit_is_where_volumes_leave_float_range():
+    # 436 is the first dimension whose ball volume is subnormal
+    assert np.isfinite(crofton_matrix(435).entries).all()
+    for n in (436, 2100, 10 ** 9):
+        with pytest.raises(ValueError, match="below float range"):
+            crofton_matrix(n)
+    assert ball_volume(2100) == 0.0

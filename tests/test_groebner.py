@@ -11,7 +11,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings, strategies as st
 
+from germcone import groebner
 from germcone.families import family_linear_union
 from germcone.groebner import (
     GermEmptyError, GroebnerBasis, ResourceLimitExceeded, buchberger,
@@ -249,6 +251,46 @@ def test_cone_generators_homogeneous_and_reduced():
         gb = GroebnerBasis(GREVLEX, list(cone.generators))
         assert_spolys_reduce(gb)
         assert buchberger(cone.generators, GREVLEX).basis == cone.generators
+
+
+@pytest.mark.parametrize("gens", [parse_ideal(WORKED).generators,
+                                  family_linear_union(4, 3, 3, 2)],
+                         ids=["worked", "union-4332"])
+def test_cone_is_one_groebner_run(gens, monkeypatch):
+    calls = []
+    real = groebner.buchberger
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    tangent_cone(gens)
+    assert len(calls) == 1
+
+
+@st.composite
+def germ_ideals(draw):
+    """1-3 generators vanishing at 0 in 2 or 3 variables, mostly non-homogeneous."""
+    vars = V3[:draw(st.integers(2, 3))]
+    monomial = st.tuples(*(st.integers(0, 3) for _ in vars)).filter(any)
+    coeff = st.fractions(min_value=-4, max_value=4,
+                         max_denominator=3).filter(lambda q: q != 0)
+    terms = st.dictionaries(monomial, coeff, min_size=1, max_size=4)
+    return [Polynomial(vars, d) for d in
+            draw(st.lists(terms, min_size=1, max_size=3))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(germ_ideals())
+def test_initial_forms_need_no_second_run(gens):
+    # the standard-basis fact tangent_cone rests on: its interreduced
+    # initial forms are already the reduced grevlex basis of the cone
+    try:
+        cone = tangent_cone(gens, budget=40)
+    except ResourceLimitExceeded:
+        assume(False)
+    assert buchberger(cone.generators, GREVLEX).basis == cone.generators
 
 
 def test_cone_idempotent():
