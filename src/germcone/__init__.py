@@ -1,43 +1,3 @@
 """Exact multiplicity, tangent cones, and section-topology bounds for germs."""
 
 __version__ = "0.1.0"
-
-from .polyring import (GRADED_FIRST, GREVLEX, GRLEX, LEX, MonomialOrder,
-                       Polynomial, divide)
-from .localforms import InitialForm, conic_blowup, initial_part
-from .parser import (IdealFile, ParseError, emit_report, format_ideal,
-                     parse_ideal)
-from .groebner import (GermEmptyError, GroebnerBasis, ResourceLimitExceeded,
-                       TangentConeIdeal, buchberger, spoly, tangent_cone)
-from .hilbert import (HilbertData, germ_multiplicity, hilbert_function,
-                      hilbert_series, leading_ideal)
-from .singular import SingularLocusData, jacobian_minors, singular_dimension
-from .crofton import CroftonMatrix, ball_volume, crofton_matrix
-from .bounds import (UNBOUNDED, CaseClassification, betti_sum_bound, classify,
-                     lipschitz_killing_bound, op_bound, sigma_bound)
-from .families import (family_f, family_g, family_linear_union,
-                       transform_embed, transform_product)
-from .numtopo import (ComponentCount, SectionSpec, component_cells,
-                      count_components, interval_eval)
-from .report import build_report, report_has_unbounded
-
-__all__ = [
-    "__version__",
-    "MonomialOrder", "Polynomial", "divide",
-    "GREVLEX", "GRLEX", "LEX", "GRADED_FIRST",
-    "InitialForm", "initial_part", "conic_blowup",
-    "IdealFile", "ParseError", "parse_ideal", "format_ideal", "emit_report",
-    "GroebnerBasis", "TangentConeIdeal", "GermEmptyError",
-    "ResourceLimitExceeded", "buchberger", "spoly", "tangent_cone",
-    "HilbertData", "leading_ideal", "hilbert_series", "hilbert_function",
-    "germ_multiplicity",
-    "SingularLocusData", "jacobian_minors", "singular_dimension",
-    "CroftonMatrix", "ball_volume", "crofton_matrix",
-    "CaseClassification", "UNBOUNDED", "classify", "betti_sum_bound",
-    "op_bound", "sigma_bound", "lipschitz_killing_bound",
-    "family_g", "family_f", "family_linear_union",
-    "transform_product", "transform_embed",
-    "SectionSpec", "ComponentCount", "interval_eval", "count_components",
-    "component_cells",
-    "build_report", "report_has_unbounded",
-]

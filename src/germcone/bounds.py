@@ -1,17 +1,11 @@
 """Case classification and every bound formula the report assembles."""
 
+import math
 from dataclasses import dataclass
 
 
 class Unbounded:
     """Explicit no-bound marker; never a sentinel number."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self):
         return "unbounded"
@@ -83,12 +77,19 @@ def lipschitz_killing_bound(mu, n, d, s, k, M, pure_dim=True, exponent="default"
 
     Composes the Crofton matrix row with the sigma bounds; k = d needs no
     hypothesis (the diagonal term alone), smaller k inherits sigma's.
+    Raises ValueError when the sum leaves float range.
     """
     assert 1 <= k <= d, f"k={k} outside [1, d={d}]"
-    total = float(M.entries[k - 1, d - 1]) * mu
-    for l in range(k, d):
-        sb = sigma_bound(mu, n, d, s, l, pure_dim, exponent)
-        if sb is UNBOUNDED:
-            return UNBOUNDED
-        total += float(M.entries[k - 1, l - 1]) * sb
+    try:
+        total = M.entries[k - 1][d - 1] * mu
+        for l in range(k, d):
+            sb = sigma_bound(mu, n, d, s, l, pure_dim, exponent)
+            if sb is UNBOUNDED:
+                return UNBOUNDED
+            total += M.entries[k - 1][l - 1] * sb
+    except OverflowError:    # float * int, with the int beyond float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"Lipschitz-Killing bound for k={k} is beyond "
+                         "float range")
     return total

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 from .crofton import crofton_matrix
 from .families import (family_f, family_g, family_linear_union)
-from .groebner import GermEmptyError, PAIR_BUDGET, ResourceLimitExceeded
-from .numtopo import CELL_BUDGET, SectionSpec, component_cells
+from .groebner import (CELL_BUDGET, GermEmptyError, PAIR_BUDGET,
+                       ResourceLimitExceeded)
 from .parser import IdealFile, ParseError, emit_report, format_ideal, parse_ideal
 from .report import build_report, report_has_unbounded
 
@@ -96,6 +96,8 @@ def _parse_fix(text, names):
 
 
 def _cmd_betti0(args):
+    # imported here so that the other commands never load numpy or scipy
+    from .numtopo import SectionSpec, component_cells
     try:
         with open(args.file) as fh:
             ideal = parse_ideal(fh.read(), source=args.file)

@@ -5,13 +5,11 @@ from dataclasses import dataclass
 from itertools import islice
 from math import comb, pi
 
-import numpy as np
-
 
 @dataclass
 class CroftonMatrix:
     n: int
-    entries: np.ndarray    # (n, n) float64, 1-indexed entries at [i-1, j-1]
+    entries: list    # n rows of n floats; entry (i, j) at [i-1][j-1]
 
 
 def _ball_volumes():
@@ -40,11 +38,11 @@ def crofton_matrix(n):
             raise ValueError(f"crofton matrix needs n < {k}: the unit-ball "
                              f"volume in dimension {k} is below float range")
         alpha.append(v)
-    m = np.zeros((n, n))
+    m = [[0.0] * n for _ in range(n)]
     for i in range(1, n + 1):
-        m[i - 1, i - 1] = 1.0
+        m[i - 1][i - 1] = 1.0
         for j in range(i + 1, n + 1):
-            m[i - 1, j - 1] = (alpha[j] / (alpha[j - i] * alpha[i]) * comb(j, i)
+            m[i - 1][j - 1] = (alpha[j] / (alpha[j - i] * alpha[i]) * comb(j, i)
                                - alpha[j - 1] / (alpha[j - 1 - i] * alpha[i])
                                * comb(j - 1, i))
     return CroftonMatrix(n=n, entries=m)

@@ -8,6 +8,7 @@ from .polyring import (GRADED_FIRST, GREVLEX, Polynomial, divide, fresh_name,
                        m_deg, m_div, m_divides, m_lcm, m_mul)
 
 PAIR_BUDGET = 10 ** 6
+CELL_BUDGET = 10 ** 7    # numtopo's; here so that the CLI need not import it
 
 
 class ResourceLimitExceeded(Exception):

@@ -11,9 +11,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
 
-from .groebner import ResourceLimitExceeded
+from .groebner import CELL_BUDGET, ResourceLimitExceeded
 
-CELL_BUDGET = 10 ** 7
 _EPS = 2.220446049250313e-16
 _MAX_DEPTH = 24
 
@@ -158,8 +157,6 @@ def _occupied_cells(spec, budget):
         ix = np.concatenate([2 * ix, 2 * ix + 1, 2 * ix, 2 * ix + 1])
         iy = np.concatenate([2 * iy, 2 * iy, 2 * iy + 1, 2 * iy + 1])
         level += 1
-    wx = bw / 2 ** level
-    wy = bh / 2 ** level
     return ix, iy, level, (fx0, fy0, wx, wy), examined
 
 

@@ -29,6 +29,7 @@ class IdealFile:
 
 
 _PUNCT = set("+-*^(),;")
+MAX_NESTING = 100    # levels of '(' and unary '-'; each costs recursion frames
 
 
 def _tokenize(text):
@@ -79,6 +80,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -187,14 +189,19 @@ class _Parser:
                     raise ParseError("zero denominator", line, col)
                 return Polynomial.constant(self.vars, Fraction(num, den), GREVLEX)
             return Polynomial.constant(self.vars, num, GREVLEX)
-        if kind == "punct" and value == "(":
+        if kind == "punct" and value in ("(", "-"):
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"expression nested more than {MAX_NESTING} "
+                                 "levels", line, col)
             self.next()
-            inner = self.parse_expr()
-            self.expect_punct(")")
+            self.depth += 1
+            if value == "(":
+                inner = self.parse_expr()
+                self.expect_punct(")")
+            else:
+                inner = -self.parse_factor()
+            self.depth -= 1
             return inner
-        if kind == "punct" and value == "-":
-            self.next()
-            return -self.parse_factor()
         self.fail("expected variable, number, '(' or '-'")
 
 

@@ -2,8 +2,6 @@
 
 import platform
 
-import numpy
-
 from . import __version__
 from .bounds import (UNBOUNDED, betti_sum_bound, classify,
                      lipschitz_killing_bound, op_bound, sigma_bound)
@@ -63,9 +61,6 @@ def build_report(ideal, k_range=None, lk_exponent="default",
                                     pure_dim=pure, exponent=lk_exponent)
         lk_rows.append({"k": k, "bound": _emitted(b)})
 
-    # only its version is reported; imported here so that importing the CLI
-    # leaves scipy out (importlib.metadata.version costs twice the time)
-    import scipy
     return {
         "input": ideal.source,
         "n": n,
@@ -85,9 +80,7 @@ def build_report(ideal, k_range=None, lk_exponent="default",
                   "lk_exponent": lk_exponent,
                   "k_range": f"{lo}..{hi}" if lo <= hi else "empty"},
         "versions": {"germcone": __version__,
-                     "python": platform.python_version(),
-                     "numpy": numpy.__version__,
-                     "scipy": scipy.__version__},
+                     "python": platform.python_version()},
     }
 
 

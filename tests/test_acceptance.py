@@ -13,6 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import pi
 
+import numpy as np
+
 from conftest import record_acceptance
 
 from germcone.bounds import UNBOUNDED, betti_sum_bound, classify, op_bound
@@ -152,7 +154,7 @@ def test_criterion_3_case_logic():
 def test_criterion_4_crofton_matrix():
     t0 = time.perf_counter()
     failures = []
-    m = crofton_matrix(4).entries
+    m = np.array(crofton_matrix(4).entries)
     for i in range(4):
         if m[i, i] != 1.0:
             failures.append(f"diagonal entry {i + 1} is {m[i, i]}")

@@ -7,7 +7,7 @@ import pytest
 from germcone.bounds import (
     UNBOUNDED, betti_sum_bound, classify, lipschitz_killing_bound, op_bound,
     sigma_bound)
-from germcone.crofton import crofton_matrix
+from germcone.crofton import CroftonMatrix, crofton_matrix
 
 
 # --- classification ---
@@ -159,3 +159,15 @@ def test_lk_range():
     M = crofton_matrix(4)
     with pytest.raises(AssertionError):
         lipschitz_killing_bound(2, 4, 2, 0, 3, M)
+
+
+def test_lk_beyond_float_range_is_a_value_error():
+    # x1^20 + ... + x200^20: sigma reaches 20 * 39^197, past any float
+    with pytest.raises(ValueError, match="k=1"):
+        lipschitz_killing_bound(20, 200, 199, 0, 1, crofton_matrix(200), True)
+    # finite terms whose float sum is inf
+    M = CroftonMatrix(n=3, entries=[[1.0, 1e308, 0.0],
+                                    [0.0, 1.0, 0.0],
+                                    [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="k=1"):
+        lipschitz_killing_bound(4, 3, 2, 0, 1, M)

@@ -58,7 +58,7 @@ def test_analyze_worked_example(worked_file, tmp_path):
     assert [row["bound"] for row in report["lk_bounds"]] == [3.0, 0.0, 0.0]
     assert report["flags"] == {"assume_pure_dimensional": False,
                                "lk_exponent": "default", "k_range": "2..2"}
-    assert set(report["versions"]) == {"germcone", "python", "numpy", "scipy"}
+    assert set(report["versions"]) == {"germcone", "python"}
 
 
 def test_report_key_order(worked_file, tmp_path):
@@ -220,6 +220,8 @@ def test_betti0_rejects_bad_box(circle_file):
     ["analyze", "CONE", "-o", "NODIR"],                     # unwritable output
     ["family", "g", "--l", "2", "-o", "NODIR"],
     ["betti0", "CIRCLE", "--box=-2,2,-2,2", "--csv", "NODIR"],
+    ["analyze", "PARENS400"],                               # nested too deep
+    ["analyze", "MINUS2000"],
 ])
 def test_out_of_range_arguments_exit_2(argv, circle_file, tmp_path, capsys):
     cone = tmp_path / "cone.ideal"
@@ -227,7 +229,12 @@ def test_out_of_range_arguments_exit_2(argv, circle_file, tmp_path, capsys):
     wide = tmp_path / "wide.ideal"
     wide.write_text("vars " + ", ".join(f"x{i}" for i in range(1, 701))
                     + ";\nx1;\n")
+    parens = tmp_path / "parens.ideal"
+    parens.write_text("vars x;\n" + "(" * 400 + "x" + ")" * 400 + ";\n")
+    minus = tmp_path / "minus.ideal"
+    minus.write_text("vars x;\n" + "-" * 2000 + "x;\n")
     files = {"CIRCLE": circle_file, "CONE": str(cone), "X700": str(wide),
+             "PARENS400": str(parens), "MINUS2000": str(minus),
              "MISSING": str(tmp_path / "missing.ideal"),
              "NODIR": str(tmp_path / "no" / "such" / "dir" / "out")}
     assert main([files.get(a, a) for a in argv]) == 2
@@ -278,3 +285,20 @@ def test_cli_import_leaves_out_scipy_sparse():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "WORKED", "-o", "OUT"],
+    ["family", "g", "--l", "3", "-o", "OUT"],
+    ["crofton", "--n", "4"],
+])
+def test_commands_but_betti0_leave_out_numpy_and_scipy(argv, worked_file, tmp_path):
+    files = {"WORKED": worked_file, "OUT": str(tmp_path / "out")}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from germcone.cli import main; code = main(sys.argv[1:]); "
+         "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)",
+         *[files.get(a, a) for a in argv]],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-3:] == ["0", "False", "False"]

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from germcone.parser import IdealFile, ParseError, format_ideal, parse_ideal
+from germcone.parser import (MAX_NESTING, IdealFile, ParseError, format_ideal,
+                             parse_ideal)
 from germcone.polyring import Polynomial
 
 WORKED = """\
@@ -65,6 +66,10 @@ def test_zero_exponent():
     ("vars x;\n2x;\n", 2, 2, "expected ';'"),
     ("x^2;\n", 1, 2, "expected 'vars' header"),
     ("vars x;\nx^2\n", 3, 1, "expected ';'"),
+    ("vars x;\n" + "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1)
+     + ";\n", 2, MAX_NESTING + 1, "nested more than"),
+    ("vars x;\n" + "-" * (MAX_NESTING + 1) + "x;\n", 2, MAX_NESTING + 1,
+     "nested more than"),
 ])
 def test_error_positions(text, line, col, fragment):
     with pytest.raises(ParseError) as exc:
@@ -73,6 +78,15 @@ def test_error_positions(text, line, col, fragment):
     assert exc.value.col == col
     assert fragment in exc.value.message
     assert str(exc.value).startswith(f"line {line}, col {col}: ")
+
+
+def test_nesting_up_to_the_limit_parses():
+    x = Polynomial.variable(("x",), "x")
+    # 25 parentheses and 25 unary minuses, alternating
+    fifty = "(-" * 25 + "x" + ")" * 25
+    assert parse_ideal(f"vars x;\n{fifty};\n").generators[0] == -x
+    deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_ideal(f"vars x;\n{deepest};\n").generators[0] == x
 
 
 def test_star_is_mandatory():
