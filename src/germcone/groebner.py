@@ -135,8 +135,8 @@ def _interreduce(basis, order):
 def homogenize(f, ext_vars):
     """Lift f to ext_vars (homogenizing variable first) at its total degree."""
     d = f.degree()
-    terms = {(d - m_deg(m),) + m: c for m, c in f.terms}
-    return Polynomial(ext_vars, terms, GRADED_FIRST)
+    terms = [((d - m_deg(m),) + m, c) for m, c in f.terms]
+    return Polynomial._trusted(tuple(ext_vars), terms, GRADED_FIRST)
 
 
 def tangent_cone(gens, budget=PAIR_BUDGET):

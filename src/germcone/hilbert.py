@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .groebner import PAIR_BUDGET, tangent_cone
 from .polyring import m_deg, m_divides
@@ -86,17 +86,14 @@ def _numerator(gens, n, cache):
 
 
 def _binom_coeffs(i, d):
-    """Coefficients of C(T - i + d - 1, d - 1) as a polynomial in T."""
-    poly = [Fraction(1)]
+    """Integer coefficients of (d-1)! * C(T - i + d - 1, d - 1) in T."""
+    poly = [1]
     for r in range(1, d):
         # multiply by (T - i + r)
-        shifted = [Fraction(0)] + poly
-        scaled = [(r - i) * c for c in poly] + [Fraction(0)]
+        shifted = [0] + poly
+        scaled = [(r - i) * c for c in poly] + [0]
         poly = [a + b for a, b in zip(shifted, scaled)]
-    fact = 1
-    for r in range(2, d):
-        fact *= r
-    return [c / fact for c in poly]
+    return poly
 
 
 def hilbert_series(monomial_gens, n):
@@ -128,7 +125,7 @@ def hilbert_series(monomial_gens, n):
     if d == 0:
         hp = ()
     else:
-        coeffs = [Fraction(0)] * d
+        coeffs = [0] * d
         for i, c in enumerate(reduced):
             if c == 0:
                 continue
@@ -136,7 +133,8 @@ def hilbert_series(monomial_gens, n):
                 coeffs[p] += c * b
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        hp = tuple(coeffs)
+        fact = factorial(d - 1)
+        hp = tuple(Fraction(v, fact) for v in coeffs)
     return HilbertData(tuple(h), d, degree, hp)
 
 

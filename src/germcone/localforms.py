@@ -16,8 +16,9 @@ def initial_part(f):
     """Lowest-degree homogeneous part of f and its order of vanishing."""
     assert not f.is_zero(), "initial part of 0 is undefined"
     mu = f.min_degree()
-    d = {m: c for m, c in f.terms if m_deg(m) == mu}
-    return InitialForm(mu, Polynomial(f.vars, d, f.order))
+    terms = [(m, c) for m, c in f.terms if m_deg(m) == mu]
+    return InitialForm(mu, Polynomial._trusted(f.vars, terms, f.order,
+                                               ordered=True))
 
 
 def conic_blowup(f, eps):
@@ -30,5 +31,5 @@ def conic_blowup(f, eps):
     eps = Fraction(eps)
     assert eps != 0, "rescaling by 0 is undefined"
     mu = f.min_degree()
-    d = {m: c * eps ** (m_deg(m) - mu) for m, c in f.terms}
-    return Polynomial(f.vars, d, f.order)
+    terms = [(m, c * eps ** (m_deg(m) - mu)) for m, c in f.terms]
+    return Polynomial._trusted(f.vars, terms, f.order, ordered=True)

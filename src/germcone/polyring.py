@@ -1,26 +1,28 @@
 """Exact multivariate polynomial arithmetic over Q with pluggable monomial orders."""
 
+import operator
 from fractions import Fraction
+from math import lcm
 
 
 # --- monomials are plain exponent tuples ---
 
 def m_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def m_divides(a, b):
     """True if a divides b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def m_div(a, b):
     """Quotient a/b, caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def m_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def m_deg(a):
@@ -51,12 +53,12 @@ class MonomialOrder:
 
     def key(self, m):
         if self.kind == "grevlex":
-            return (sum(m), tuple(-e for e in reversed(m)))
+            return (sum(m), tuple(map(operator.neg, reversed(m))))
         if self.kind == "grlex":
             return (sum(m), m)
         if self.kind == "lex":
             return m
-        return (sum(m), m[0], tuple(-e for e in reversed(m[1:])))
+        return (sum(m), m[0], tuple(map(operator.neg, reversed(m[1:]))))
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.kind == other.kind
@@ -75,18 +77,27 @@ GRADED_FIRST = MonomialOrder("gradedfirst")
 
 
 class Polynomial:
-    """Immutable polynomial: vars, order, and terms sorted descending."""
+    """Immutable polynomial: vars, order, and terms sorted descending.
+
+    Every coefficient in terms is a nonzero Fraction on its own monomial, so
+    division by a coefficient is exact.  The constructor validates and
+    combines its input; results computed here go through _trusted instead.
+    """
 
     __slots__ = ("vars", "order", "terms")
 
     def __init__(self, vars, terms, order=GREVLEX):
         self.vars = tuple(vars)
         self.order = order
+        n = len(self.vars)
         combined = {}
         for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
             mono = tuple(mono)
-            assert len(mono) == len(self.vars), (mono, self.vars)
-            assert all(e >= 0 for e in mono), mono
+            if len(mono) != n:
+                raise ValueError(f"exponent tuple {mono} does not match "
+                                 f"variables {self.vars}")
+            if any(e < 0 for e in mono):
+                raise ValueError(f"negative exponent in {mono}")
             c = combined.get(mono, 0) + Fraction(coeff)
             if c:
                 combined[mono] = c
@@ -94,6 +105,21 @@ class Polynomial:
                 del combined[mono]
         self.terms = tuple(sorted(combined.items(),
                                   key=lambda t: order.key(t[0]), reverse=True))
+
+    @classmethod
+    def _trusted(cls, vars, terms, order, ordered=False):
+        """Internal: terms are (monomial, nonzero Fraction) pairs on distinct
+        monomials of the right length, already descending when ordered."""
+        self = object.__new__(cls)
+        self.vars = vars
+        self.order = order
+        if ordered:
+            self.terms = tuple(terms)
+        else:
+            key = order.key
+            self.terms = tuple(sorted(terms, key=lambda t: key(t[0]),
+                                      reverse=True))
+        return self
 
     # --- constructors ---
 
@@ -170,12 +196,13 @@ class Polynomial:
                 d[mono] = c
             elif mono in d:
                 del d[mono]
-        return Polynomial(self.vars, d, self.order)
+        return Polynomial._trusted(self.vars, d.items(), self.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.vars, {m: -c for m, c in self.terms}, self.order)
+        return Polynomial._trusted(self.vars, [(m, -c) for m, c in self.terms],
+                                   self.order, ordered=True)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -183,34 +210,37 @@ class Polynomial:
     def __rsub__(self, other):
         return self._coerce(other) - self
 
+    # Products run on integer numerators over each operand's common
+    # denominator; one Fraction is built per output term.
+
     def __mul__(self, other):
         other = self._coerce(other)
-        d = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = m_mul(m1, m2)
-                c = d.get(m, 0) + c1 * c2
-                if c:
-                    d[m] = c
-                elif m in d:
-                    del d[m]
-        return Polynomial(self.vars, d, self.order)
+        den_a, ints_a = _numerators(self.terms)
+        den_b, ints_b = _numerators(other.terms)
+        return _from_ints(self.vars, _int_mul(ints_a, ints_b), den_a * den_b,
+                          self.order)
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        assert isinstance(e, int) and e >= 0, e
-        result = Polynomial.constant(self.vars, 1, self.order)
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"exponent must be a natural number, not {e!r}")
+        den, base = _numerators(self.terms)
+        # repeated products by a sparse base beat squaring
+        acc = {(0,) * len(self.vars): 1}
         for _ in range(e):
-            result = result * self
-        return result
+            acc = _int_mul(acc.items(), base)
+        return _from_ints(self.vars, acc, den ** e, self.order)
 
     def scale_term(self, mono, coeff):
         """Multiply by the single term coeff * x^mono."""
+        coeff = Fraction(coeff)
+        if not coeff:
+            return Polynomial._trusted(self.vars, (), self.order, ordered=True)
         mono = tuple(mono)
-        return Polynomial(self.vars,
-                          {m_mul(m, mono): c * coeff for m, c in self.terms},
-                          self.order)
+        return Polynomial._trusted(
+            self.vars, [(m_mul(m, mono), c * coeff) for m, c in self.terms],
+            self.order, ordered=True)
 
     def monic(self):
         if not self.terms:
@@ -218,43 +248,37 @@ class Polynomial:
         lc = self.leading_coeff()
         if lc == 1:
             return self
-        return Polynomial(self.vars, {m: c / lc for m, c in self.terms}, self.order)
+        return Polynomial._trusted(self.vars, [(m, c / lc) for m, c in self.terms],
+                                   self.order, ordered=True)
 
     # --- structure maps ---
 
     def with_order(self, order):
         if order == self.order:
             return self
-        return Polynomial(self.vars, dict(self.terms), order)
+        return Polynomial._trusted(self.vars, self.terms, order)
 
     def with_vars(self, newvars):
         """Reinterpret in a ring whose variables include the current ones."""
         newvars = tuple(newvars)
         pos = [newvars.index(v) for v in self.vars]
         n = len(newvars)
-        d = {}
+        terms = []
         for m, c in self.terms:
             mm = [0] * n
             for i, e in enumerate(m):
                 mm[pos[i]] = e
-            d[tuple(mm)] = c
-        return Polynomial(newvars, d, self.order)
+            terms.append((tuple(mm), c))
+        return Polynomial._trusted(newvars, terms, self.order)
 
     def derivative(self, name):
+        # m -> m - e_i is injective and, the orders being multiplicative,
+        # keeps the order of the terms it keeps
         i = self.vars.index(name)
-        d = {}
-        for m, c in self.terms:
-            if m[i] == 0:
-                continue
-            mm = list(m)
-            mm[i] -= 1
-            mono = tuple(mm)
-            cc = d.get(mono, 0) + c * m[i]
-            if cc:
-                d[mono] = cc
-            elif mono in d:
-                del d[mono]
-        return Polynomial(self.vars, d, self.order)
+        return Polynomial._trusted(
+            self.vars, [(m[:i] + (m[i] - 1,) + m[i + 1:], c * m[i])
+                        for m, c in self.terms if m[i]],
+            self.order, ordered=True)
 
     def substitute(self, assignments):
         """Pin named variables to rational constants, dropping them from the ring."""
@@ -266,7 +290,8 @@ class Polynomial:
         d = {}
         for m, c in self.terms:
             for i, val in vals.items():
-                c = c * val ** m[i]
+                if m[i] and val != 1:
+                    c = c * val ** m[i]
             if c == 0:
                 continue
             mono = tuple(m[i] for i in keep)
@@ -275,7 +300,8 @@ class Polynomial:
                 d[mono] = cc
             elif mono in d:
                 del d[mono]
-        return Polynomial(tuple(self.vars[i] for i in keep), d, self.order)
+        return Polynomial._trusted(tuple(self.vars[i] for i in keep), d.items(),
+                                   self.order)
 
     def evaluate(self, point):
         """Exact value at a rational point given as {name: value}."""
@@ -334,6 +360,30 @@ def _frac_str(c):
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
+def _numerators(terms):
+    """(den, [(m, c * den)]) for the least common denominator den of terms."""
+    den = lcm(*(c.denominator for _, c in terms))
+    return den, [(m, c.numerator * (den // c.denominator)) for m, c in terms]
+
+
+def _int_mul(a, b):
+    """Product of two integer term lists as {monomial: nonzero int}."""
+    out = {}
+    get = out.get
+    add = operator.add
+    for m1, c1 in a:
+        for m2, c2 in b:
+            m = tuple(map(add, m1, m2))
+            out[m] = get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _from_ints(vars, numerators, den, order):
+    """The polynomial sum(c / den * x^m) over numerators {m: nonzero c}."""
+    return Polynomial._trusted(
+        vars, [(m, Fraction(c, den)) for m, c in numerators.items()], order)
+
+
 def divide(f, divisors, order):
     """Multivariate division: f = sum(q_i * divisors_i) + r.
 
@@ -366,5 +416,5 @@ def divide(f, divisors, order):
                 break
         else:
             remainder[mono] = coeff
-    return ([Polynomial(f.vars, q, order) for q in quotients],
-            Polynomial(f.vars, remainder, order))
+    return ([Polynomial._trusted(f.vars, q.items(), order) for q in quotients],
+            Polynomial._trusted(f.vars, remainder.items(), order))

@@ -131,8 +131,9 @@ def _m_primary(gens, n, c):
     components of seeded Cauchy-Binet combinations det(A J B), drawn until
     one adds no rank.  False means only that this test did not settle the
     question.  It declines inputs over MINOR_CAP, which jacobian_minors
-    refuses, and c > CERT_MAX_C, where the combinations are dense and
-    their cofactor expansion costs more than the sparse minors.
+    refuses, c > CERT_MAX_C, where the combinations are dense and their
+    cofactor expansion costs more than the sparse minors, and inputs with
+    too few generators and minors to fill any degree.
     """
     if not 1 <= c <= min(len(gens), n, CERT_MAX_C):
         return False
@@ -140,7 +141,14 @@ def _m_primary(gens, n, c):
         return False
     if not all(g.is_homogeneous() and g.min_degree() >= 1 for g in gens):
         return False
-    if sum(g.degree() == 1 for g in gens) >= c:     # a minor may be constant
+    degs = sorted(g.degree() for g in gens)
+    if degs[c - 1] == 1:                            # a minor may be constant
+        return False
+    # Degree-D rows come from degree-D generators and the span of the
+    # homogeneous degree-D minors, so no degree fills when even the lowest
+    # one holds more monomials than there are generators and minors.
+    low = min(degs[0], sum(e - 1 for e in degs[:c]))
+    if len(gens) + _minor_count(gens, n, c) < comb(low + n - 1, n - 1):
         return False
     reduced = [_reduce(g) for g in gens]
     if any(g is None for g in reduced):

@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from germcone.groebner import homogenize
+from germcone.localforms import initial_part
 from germcone.polyring import (
-    GREVLEX, GRLEX, LEX, MonomialOrder, Polynomial, divide, m_deg, m_divides)
+    GRADED_FIRST, GREVLEX, GRLEX, LEX, MonomialOrder, Polynomial, divide,
+    m_deg, m_divides)
 
 VARS = ("x", "y", "z")
 
@@ -17,6 +20,7 @@ term_dicts = st.dictionaries(monomials, coefficients, max_size=5)
 polys = st.builds(lambda d: Polynomial(VARS, d), term_dicts)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 orders = st.sampled_from([GREVLEX, GRLEX, LEX])
+all_orders = st.sampled_from([GREVLEX, GRLEX, LEX, GRADED_FIRST])
 
 
 def poly(d):
@@ -193,3 +197,87 @@ def test_monomial_helpers():
     assert m_deg((2, 0, 3)) == 5
     assert m_divides((1, 0, 2), (2, 1, 2))
     assert not m_divides((1, 0, 3), (2, 1, 2))
+
+
+# --- the integer kernel of * and **, against term-by-term Fractions ---
+
+def _ref_mul(a, b):
+    """Product of two term dicts, one Fraction product per pair of terms."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_pow(a, e):
+    out = {(0,) * len(VARS): Fraction(1)}
+    for _ in range(e):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _fraction_terms(f):
+    assert all(type(c) is Fraction and c for _, c in f.terms)
+    return dict(f.terms)
+
+
+@given(polys, polys)
+def test_mul_matches_fraction_reference(f, g):
+    assert _fraction_terms(f * g) == _ref_mul(f.terms_dict(), g.terms_dict())
+
+
+@given(polys, st.integers(0, 5))
+def test_pow_matches_fraction_reference(f, e):
+    assert _fraction_terms(f ** e) == _ref_pow(f.terms_dict(), e)
+    assert _fraction_terms(f ** 0) == {(0, 0, 0): 1}
+
+
+@pytest.mark.parametrize("e", range(7))
+def test_pow_with_mixed_denominators(e):
+    f = Fraction(1, 2) * X + Fraction(1, 3) * Y - 1
+    assert _fraction_terms(f ** e) == _ref_pow(f.terms_dict(), e)
+
+
+def test_cancelling_products():
+    assert _fraction_terms((X + Y) * (X - Y)) == {(2, 0, 0): 1, (0, 2, 0): -1}
+    a, b = Fraction(1, 2) * X, Polynomial.constant(VARS, Fraction(1, 3))
+    assert _fraction_terms((a + b) * (a - b)) == {
+        (2, 0, 0): Fraction(1, 4), (0, 0, 0): Fraction(-1, 9)}
+    assert (X - X) ** 3 == Polynomial.zero(VARS)
+
+
+def test_pow_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        X ** -1
+
+
+# --- the validating constructor ---
+
+@pytest.mark.parametrize("mono", [(1, 2), (1, 0, 0, 0), (1, -1, 0)])
+def test_constructor_rejects_bad_exponents(mono):
+    with pytest.raises(ValueError):
+        Polynomial(VARS, {mono: 1})
+
+
+# --- results built without re-sorting stay strictly descending ---
+
+def _strictly_descending(f):
+    keys = [f.order.key(m) for m, _ in f.terms]
+    return all(a > b for a, b in zip(keys, keys[1:]))
+
+
+@given(polys, all_orders, monomials, coefficients,
+       st.fractions(min_value=-3, max_value=3, max_denominator=5))
+def test_trusted_results_stay_descending(f, order, mono, c, v):
+    fo = f.with_order(order)
+    results = [fo, fo.scale_term(mono, c), -fo, fo.monic(), fo * fo,
+               fo + fo.scale_term(mono, c),
+               fo.substitute({"y": v}), fo.substitute({"x": 1}),
+               fo.derivative("z"), homogenize(fo, ("w",) + VARS)]
+    if not fo.is_zero():
+        results.append(initial_part(fo).init)
+    for g in results:
+        assert _strictly_descending(g), (g, g.order)
+        _fraction_terms(g)

@@ -211,3 +211,17 @@ def test_certificate_skips_inputs_over_minor_cap(monkeypatch):
     _forbid(monkeypatch, "_lincomb")
     with pytest.raises(ResourceLimitExceeded):
         singular_dimension(_squares(12, 24), 24, 12)
+
+
+def test_certificate_declines_when_no_degree_can_fill(monkeypatch):
+    # One quartic and its 3 cubic minors span at most 4 forms, while the
+    # lowest degree they reach, 3, holds C(5, 2) = 10 monomials.
+    f = X ** 4 + Y ** 4 + Z ** 4
+    cone = TangentConeIdeal(vars=V3, generators=[f])
+    for name in ("_reduce", "_insert"):
+        _forbid(monkeypatch, name)
+    assert singular._m_primary([f], 3, 1) is False
+    data = singular_dimension(cone, 3, 2)
+    monkeypatch.setattr(singular, "_m_primary", lambda *_: False)
+    assert data == singular_dimension(cone, 3, 2)
+    assert (data.s, data.empty) == (0, False)
