@@ -73,8 +73,13 @@ def buchberger(gens, order, budget=PAIR_BUDGET):
     def add_pairs(j):
         lm_j = basis[j].leading_monomial()
         for i in range(j):
-            u = m_lcm(basis[i].leading_monomial(), lm_j)
-            heapq.heappush(heap, (order.key(u), i, j))
+            lm_i = basis[i].leading_monomial()
+            u = m_lcm(lm_i, lm_j)
+            # Buchberger's first criterion: coprime leading monomials make an
+            # S-polynomial that reduces to 0, so the pair is handled at once.
+            if u == m_mul(lm_i, lm_j):
+                continue
+            heapq.heappush(heap, (order.key(u), i, j, u))
             pending.add((i, j))
 
     for j in range(len(basis)):
@@ -82,13 +87,8 @@ def buchberger(gens, order, budget=PAIR_BUDGET):
     reductions = 0
 
     while heap:
-        _, i, j = heapq.heappop(heap)
+        _, i, j, u = heapq.heappop(heap)
         pending.remove((i, j))
-        lm_i = basis[i].leading_monomial()
-        lm_j = basis[j].leading_monomial()
-        u = m_lcm(lm_i, lm_j)
-        if u == m_mul(lm_i, lm_j):
-            continue
         if _chain_skip(i, j, u, basis, pending):
             continue
         reductions += 1

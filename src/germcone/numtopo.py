@@ -9,12 +9,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval2d
 
 from .groebner import CELL_BUDGET, ResourceLimitExceeded
 
 _EPS = 2.220446049250313e-16
 _MAX_DEPTH = 24
+_BLOCK = 1 << 15    # cells per enclosure sweep; bounds its temporaries
 
 
 @dataclass
@@ -36,23 +36,36 @@ class ComponentCount:
     cells_examined: int
 
 
-def _grid(f):
-    dx = max((m[0] for m, _ in f.terms), default=0)
-    dy = max((m[1] for m, _ in f.terms), default=0)
-    c = np.zeros((dx + 1, dy + 1))
-    for (i, j), coeff in f.terms:
-        c[i, j] = float(coeff)
-    return c
+def _ddx(terms):
+    # in float: c * i, and (c * i) * (i - 1) when taken twice
+    return [(i - 1, j, c * i) for i, j, c in terms if i > 0]
 
 
-def _ddx(c):
-    return c[1:, :] * np.arange(1, c.shape[0])[:, None] if c.shape[0] > 1 \
-        else np.zeros((1, c.shape[1]))
+def _ddy(terms):
+    return [(i, j - 1, c * j) for i, j, c in terms if j > 0]
 
 
-def _ddy(c):
-    return c[:, 1:] * np.arange(1, c.shape[1])[None, :] if c.shape[1] > 1 \
-        else np.zeros((c.shape[0], 1))
+def _powers(t, n):
+    """[t^0, t^1, ..., t^n], each power one product from the one before."""
+    table = [np.ones_like(t), t]
+    for _ in range(n - 1):
+        table.append(table[-1] * t)
+    return table[:n + 1]
+
+
+def _sparse_sum(terms, px, py, tmp):
+    """Sum of c * x^i * y^j over terms, from the power tables; tmp is scratch."""
+    out = np.zeros_like(tmp)
+    for i, j, c in terms:
+        if i and j:
+            np.multiply(px[i], py[j], out=tmp)
+            tmp *= c
+        elif i or j:
+            np.multiply(px[i] if i else py[j], c, out=tmp)
+        else:
+            tmp.fill(c)
+        out += tmp
+    return out
 
 
 class _Encloser:
@@ -61,31 +74,64 @@ class _Encloser:
     abs-coefficient sups of the first derivatives are useless here (the
     acceptance curves live where huge monomials cancel), so the gradient is
     evaluated at the center and its variation bounded via second derivatives.
+
+    Each polynomial is a list of (i, j, float c) terms, summed as
+    c * x^i * y^j from power tables built once per block of _BLOCK cells.
+    For f of total degree D with k terms, a term takes at most D + 1
+    roundings (its powers, their product, the coefficient product and the
+    coefficient's conversion from a Fraction; a derivative's coefficient
+    takes one more per order and its monomial one degree less), and the
+    sum k - 1 more.  So each computed sum is within
+    gamma(D + k) * sum |c| |x|^i |y|^j of the exact one, where
+    gamma(n) = n u / (1 - n u) and u = _EPS / 2: about (D + k) * _EPS / 2.
+    The errors of v and of wx/2 * f_x and wy/2 * f_y at the center are
+    measured against sums that sum |c| ax^i ay^j dominates (expand
+    (|cx| + wx/2)^i), so slack_scale = max(4k + 16, D + k) * _EPS covers
+    them twice over, which leaves room for the rounding of ax, ay, of the
+    slack sum itself and of v -+ r.  4k + 16 is the larger unless
+    D > 3k + 16.  The bounds on the second derivatives sum positive terms,
+    so their relative error stays far below the 1e-12 widening of r.
     """
 
     def __init__(self, f):
         if len(f.vars) != 2:
             raise ValueError(f"need exactly 2 variables, got {f.vars}")
-        c = _grid(f)
+        c = [(i, j, float(coeff)) for (i, j), coeff in f.terms]
         fx, fy = _ddx(c), _ddy(c)
         self.c, self.fx, self.fy = c, fx, fy
-        self.cabs = np.abs(c)
-        self.axx = np.abs(_ddx(fx))
-        self.axy = np.abs(_ddy(fx))
-        self.ayy = np.abs(_ddy(fy))
-        self.slack_scale = (4.0 * len(f.terms) + 16.0) * _EPS
+        self.cabs = [(i, j, abs(v)) for i, j, v in c]
+        self.axx = [(i, j, abs(v)) for i, j, v in _ddx(fx)]
+        self.axy = [(i, j, abs(v)) for i, j, v in _ddy(fx)]
+        self.ayy = [(i, j, abs(v)) for i, j, v in _ddy(fy)]
+        self.deg_x = max((i for i, _, _ in c), default=0)
+        self.deg_y = max((j for _, j, _ in c), default=0)
+        degree = max((i + j for i, j, _ in c), default=0)
+        k = len(c)
+        self.slack_scale = max(4.0 * k + 16.0, degree + k) * _EPS
 
     def __call__(self, cx, cy, wx, wy):
+        lo = np.empty(cx.shape)
+        hi = np.empty(cx.shape)
+        for start in range(0, cx.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            lo[block], hi[block] = self._block(cx[block], cy[block], wx, wy)
+        return lo, hi
+
+    def _block(self, cx, cy, wx, wy):
         ax = np.abs(cx) + 0.5 * wx
         ay = np.abs(cy) + 0.5 * wy
-        v = polyval2d(cx, cy, self.c)
-        gx = np.abs(polyval2d(cx, cy, self.fx)) \
-            + 0.5 * wx * polyval2d(ax, ay, self.axx) \
-            + 0.5 * wy * polyval2d(ax, ay, self.axy)
-        gy = np.abs(polyval2d(cx, cy, self.fy)) \
-            + 0.5 * wx * polyval2d(ax, ay, self.axy) \
-            + 0.5 * wy * polyval2d(ax, ay, self.ayy)
-        slack = self.slack_scale * polyval2d(ax, ay, self.cabs)
+        px, py = _powers(cx, self.deg_x), _powers(cy, self.deg_y)
+        qx, qy = _powers(ax, self.deg_x), _powers(ay, self.deg_y)
+        tmp = np.empty(cx.shape)
+        v = _sparse_sum(self.c, px, py, tmp)
+        bxy = _sparse_sum(self.axy, qx, qy, tmp)
+        gx = np.abs(_sparse_sum(self.fx, px, py, tmp)) \
+            + 0.5 * wx * _sparse_sum(self.axx, qx, qy, tmp) \
+            + 0.5 * wy * bxy
+        gy = np.abs(_sparse_sum(self.fy, px, py, tmp)) \
+            + 0.5 * wx * bxy \
+            + 0.5 * wy * _sparse_sum(self.ayy, qx, qy, tmp)
+        slack = self.slack_scale * _sparse_sum(self.cabs, qx, qy, tmp)
         r = (0.5 * wx * gx + 0.5 * wy * gy) * (1.0 + 1e-12) + slack
         return v - r, v + r
 
@@ -168,20 +214,18 @@ def _component_count(ix, iy, depth):
     if ix.size == 0:
         return 0
     nside = np.int64(1) << depth
-    keys = ix * nside + iy
-    order = np.argsort(keys)
-    skeys = keys[order]
-    edges_a = []
-    edges_b = []
-    for dk, mask in ((nside, ix < nside - 1), (np.int64(1), iy < nside - 1)):
-        cand = keys[mask] + dk
-        pos = np.searchsorted(skeys, cand)
-        pos = np.minimum(pos, skeys.size - 1)
-        hit = skeys[pos] == cand
-        edges_a.append(np.flatnonzero(mask)[hit])
-        edges_b.append(order[pos[hit]])
-    a = np.concatenate(edges_a)
-    b = np.concatenate(edges_b)
+    # Edges join positions in the sorted key array: the graph is the cell
+    # graph relabelled, and the neighbour queries below come in ascending order.
+    keys = np.sort(ix * nside + iy)
+    # (i, j + 1) follows (i, j) directly when both are kept
+    a_up = np.flatnonzero((keys[1:] - keys[:-1] == 1)
+                          & (keys[:-1] % nside != nside - 1))
+    # (i + 1, j); past the last column the query exceeds every key
+    cand = keys + nside
+    pos = np.minimum(np.searchsorted(keys, cand), keys.size - 1)
+    a_right = np.flatnonzero(keys[pos] == cand)
+    a = np.concatenate([a_up, a_right])
+    b = np.concatenate([a_up + 1, pos[a_right]])
     graph = coo_matrix((np.ones(a.size), (a, b)), shape=(keys.size, keys.size))
     count, _ = connected_components(graph, directed=False)
     return int(count)

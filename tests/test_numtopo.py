@@ -2,14 +2,17 @@
 
 import subprocess
 import sys
+from collections import deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from germcone.groebner import ResourceLimitExceeded
 from germcone.numtopo import (
-    CELL_BUDGET, SectionSpec, component_cells, count_components, interval_eval)
+    _BLOCK, CELL_BUDGET, SectionSpec, _component_count, _Encloser,
+    component_cells, count_components, interval_eval)
 from germcone.polyring import Polynomial
 
 V2 = ("x", "y")
@@ -46,6 +49,63 @@ def test_enclosure_contains_sampled_values(f, x0, y0, wx, wy):
             py = y0 + wy * j / 2
             value = f.evaluate({"x": px, "y": py})
             assert Fraction(lo) <= value <= Fraction(hi), (cell, px, py)
+
+
+def _scaled(t, s):
+    """The float t times 2^s, as an exact int (t must be a multiple of 2^-s)."""
+    n, d = t.as_integer_ratio()
+    assert (1 << s) % d == 0, t
+    return n * ((1 << s) // d)
+
+
+# (integer coefficients by exponent, cell centres) for the block sweep: one
+# term, a cancelling pair, a double root at x = 2^(1/6), mixed monomials, and
+# a degree past 3k + 16, where slack_scale grows with the degree
+_ROOT6 = 2 ** (1 / 6)
+_SWEEP_CASES = [
+    ({(12, 0): 1}, "spread"),
+    ({(8, 0): 1, (0, 8): -1}, "diagonal"),
+    ({(12, 0): 1, (6, 0): -4, (0, 0): 4}, "double_root"),
+    ({(5, 7): 2, (2, 1): -3, (0, 12): 1, (0, 0): -5}, "spread"),
+    ({(30, 0): 1, (15, 0): -2, (0, 0): 1}, "near_one"),
+]
+
+
+@pytest.mark.parametrize("coeffs, where", _SWEEP_CASES)
+def test_enclosure_sound_across_blocks(coeffs, where):
+    """One call on more than one block of cells contains f at every cell's
+    corners and centre, computed exactly."""
+    f = Polynomial(V2, {m: Fraction(c) for m, c in coeffs.items()})
+    rng = np.random.default_rng(len(coeffs) + len(where))
+    n = _BLOCK + 1000
+    wx, wy = 2.0 ** -30, 2.0 ** -rng.integers(3, 31)
+    base = rng.integers(-2 ** 40, 2 ** 40, size=n) / 2.0 ** 40
+    step = rng.integers(-2 ** 10, 2 ** 10, size=n) * 2.0 ** -40
+    cx, cy = {
+        "spread": (base * 1.5, np.roll(base, 7)),
+        "diagonal": (base * 1.9, base * 1.9 + step),
+        "double_root": (_ROOT6 + step, base),
+        "near_one": (1.0 + step, base),
+    }[where]
+    lo, hi = _Encloser(f)(cx, cy, wx, wy)
+    assert lo.shape == hi.shape == (n,)
+    # every centre and corner is a multiple of 2^-s
+    s = max(t.as_integer_ratio()[1].bit_length() - 1
+            for t in (*cx.tolist(), *cy.tolist(), wx / 2, wy / 2))
+    degree = max(i + j for i, j in coeffs)
+    hx, hy = _scaled(wx / 2, s), _scaled(wy / 2, s)
+    for k in range(n):
+        px = _scaled(float(cx[k]), s)
+        py = _scaled(float(cy[k]), s)
+        lo_n, lo_d = float(lo[k]).as_integer_ratio()
+        hi_n, hi_d = float(hi[k]).as_integer_ratio()
+        for X, Y in ((px, py), (px - hx, py - hy), (px - hx, py + hy),
+                     (px + hx, py - hy), (px + hx, py + hy)):
+            # f(X, Y) * 2^(s * degree), exactly
+            value = sum(c * X ** i * Y ** j << s * (degree - i - j)
+                        for (i, j), c in coeffs.items())
+            assert lo_n << s * degree <= value * lo_d, (k, cx[k], cy[k])
+            assert value * hi_d <= hi_n << s * degree, (k, cx[k], cy[k])
 
 
 def test_enclosure_tight_on_linear():
@@ -184,3 +244,43 @@ def test_rejects_zero_polynomial():
 def test_rejects_absurd_resolution():
     with pytest.raises(ValueError):
         count_components(spec(CIRCLE, (-2, 2, -2, 2), Fraction(1, 2 ** 50)))
+
+
+# --- adjacency ---
+
+def _bfs_count(cells):
+    seen, count = set(), 0
+    for start in cells:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            i, j = queue.popleft()
+            for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+                if nb in cells and nb not in seen:
+                    seen.add(nb)
+                    queue.append(nb)
+    return count
+
+
+@st.composite
+def cell_sets(draw):
+    depth = draw(st.integers(1, 6))
+    nside = 1 << depth
+    index = st.integers(0, nside - 1)
+    edge = st.one_of(st.tuples(st.just(nside - 1), index),
+                     st.tuples(index, st.just(nside - 1)))
+    cells = draw(st.sets(st.tuples(index, index), max_size=min(nside ** 2, 300)))
+    cells |= draw(st.sets(edge, max_size=2 * nside))
+    return depth, draw(st.permutations(sorted(cells)))
+
+
+@settings(max_examples=300)
+@given(cell_sets())
+def test_component_count_matches_bfs(case):
+    depth, cells = case
+    ix = np.array([i for i, _ in cells], dtype=np.int64)
+    iy = np.array([j for _, j in cells], dtype=np.int64)
+    assert _component_count(ix, iy, depth) == _bfs_count(set(cells))
