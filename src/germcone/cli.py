@@ -96,8 +96,8 @@ def _parse_fix(text, names):
 
 
 def _cmd_betti0(args):
-    # imported here so that the other commands never load numpy or scipy
-    from .numtopo import SectionSpec, component_cells
+    # imported here so that the other commands never load numpy
+    from .numtopo import SectionSpec, component_cells, count_components
     try:
         with open(args.file) as fh:
             ideal = parse_ideal(fh.read(), source=args.file)
@@ -110,8 +110,11 @@ def _cmd_betti0(args):
         res = args.res if args.res == "auto" else Fraction(args.res)
         spec = SectionSpec(f=ideal.generators[0], fixed_assignments=fixed,
                            box=box, resolution=res)
-        result, cells = component_cells(spec, budget=args.budget)
-    except (OSError, ParseError, ValueError, ZeroDivisionError) as e:
+        if args.csv:
+            result, cells = component_cells(spec, budget=args.budget)
+        else:
+            result = count_components(spec, budget=args.budget)
+    except (OSError, ParseError, ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except ResourceLimitExceeded as e:

@@ -15,6 +15,7 @@ from .groebner import CELL_BUDGET, ResourceLimitExceeded
 _EPS = 2.220446049250313e-16
 _MAX_DEPTH = 24
 _BLOCK = 1 << 15    # cells per enclosure sweep; bounds its temporaries
+_AUTO_BASE = 4      # first level that `auto` counts
 
 
 @dataclass
@@ -159,6 +160,13 @@ def _depth_for(width, height, resolution):
 
 
 def _occupied_cells(spec, budget):
+    """Count and kept cells of the target level.
+
+    A fixed resolution fixes the level.  `auto` counts every level from
+    _AUTO_BASE on and stops at the first that agrees with the level before
+    it, or before a refinement would exceed the budget.
+    Returns (count, ix, iy, (fx0, fy0, wx, wy), cells examined).
+    """
     f = spec.f.substitute(spec.fixed_assignments)
     if len(f.vars) != 2:
         raise ValueError("need exactly 2 free variables")
@@ -184,6 +192,7 @@ def _occupied_cells(spec, budget):
     iy = np.zeros(1, dtype=np.int64)
     examined = 0
     level = 0
+    previous = None
     while True:
         examined += ix.size
         if examined > budget:
@@ -194,8 +203,16 @@ def _occupied_cells(spec, budget):
         cx = fx0 + (ix + 0.5) * wx
         cy = fy0 + (iy + 0.5) * wy
         lo, hi = enclose(cx, cy, wx, wy)
-        keep = (lo <= 0.0) & (hi >= 0.0)
+        # drop a cell only when its enclosure proves a sign: an overflowed
+        # enclosure can be NaN, which proves nothing
+        keep = ~((lo > 0.0) | (hi < 0.0))
         ix, iy = ix[keep], iy[keep]
+        count = None
+        if auto and level >= _AUTO_BASE:
+            count = _component_count(ix, iy, level)
+            if count == previous:
+                break
+            previous = count
         if level == depth or ix.size == 0:
             break
         if auto and examined + 4 * ix.size > budget:
@@ -203,46 +220,60 @@ def _occupied_cells(spec, budget):
         ix = np.concatenate([2 * ix, 2 * ix + 1, 2 * ix, 2 * ix + 1])
         iy = np.concatenate([2 * iy, 2 * iy, 2 * iy + 1, 2 * iy + 1])
         level += 1
-    return ix, iy, level, (fx0, fy0, wx, wy), examined
+    if count is None:
+        count = _component_count(ix, iy, level)
+    return count, ix, iy, (fx0, fy0, wx, wy), examined
 
 
 def _component_count(ix, iy, depth):
-    # imported here so that analyze and family never load scipy.sparse
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
+    """Number of edge-adjacency classes of the cells (ix, iy) at depth.
 
+    Each vertical run of cells is one node.  Roots are then hooked across
+    the horizontal edges (Shiloach and Vishkin, J. Algorithms 3, 1982): in a
+    round, every root that ends an edge to a smaller root points at the
+    smallest such root, and pointer jumping flattens the forest again.  The
+    rounds end when no edge joins two roots.
+    """
     if ix.size == 0:
         return 0
     nside = np.int64(1) << depth
-    # Edges join positions in the sorted key array: the graph is the cell
-    # graph relabelled, and the neighbour queries below come in ascending order.
     keys = np.sort(ix * nside + iy)
-    # (i, j + 1) follows (i, j) directly when both are kept
-    a_up = np.flatnonzero((keys[1:] - keys[:-1] == 1)
-                          & (keys[:-1] % nside != nside - 1))
+    # (i, j + 1) follows (i, j) directly when both are kept; any other step
+    # starts a new run
+    step = (keys[1:] - keys[:-1] != 1) | (keys[:-1] % nside == nside - 1)
+    run = np.concatenate([[0], np.cumsum(step)])
     # (i + 1, j); past the last column the query exceeds every key
     cand = keys + nside
     pos = np.minimum(np.searchsorted(keys, cand), keys.size - 1)
-    a_right = np.flatnonzero(keys[pos] == cand)
-    a = np.concatenate([a_up, a_right])
-    b = np.concatenate([a_up + 1, pos[a_right]])
-    graph = coo_matrix((np.ones(a.size), (a, b)), shape=(keys.size, keys.size))
-    count, _ = connected_components(graph, directed=False)
-    return int(count)
+    right = keys[pos] == cand
+    a, b = run[right], run[pos[right]]
+    parent = np.arange(run[-1] + 1)
+    while True:
+        pa, pb = parent[a], parent[b]
+        cross = pa != pb
+        if not cross.any():
+            break
+        a, b, pa, pb = a[cross], b[cross], pa[cross], pb[cross]
+        # an index may repeat; minimum.at keeps the smallest of its targets
+        np.minimum.at(parent, np.maximum(pa, pb), np.minimum(pa, pb))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    return int(np.count_nonzero(parent == np.arange(parent.size)))
 
 
 def count_components(spec, budget=CELL_BUDGET):
     """Number of adjacency classes of straddling cells at the resolution."""
-    ix, iy, depth, _, examined = _occupied_cells(spec, budget)
-    count = _component_count(ix, iy, depth)
+    count, _, _, _, examined = _occupied_cells(spec, budget)
     return ComponentCount(count=count, status="heuristic",
                           cells_examined=examined)
 
 
 def component_cells(spec, budget=CELL_BUDGET):
     """Count plus the occupied cells as (cx, cy, wx, wy) rows, for plotting."""
-    ix, iy, depth, (fx0, fy0, wx, wy), examined = _occupied_cells(spec, budget)
-    count = _component_count(ix, iy, depth)
+    count, ix, iy, (fx0, fy0, wx, wy), examined = _occupied_cells(spec, budget)
     rows = [(fx0 + (int(i) + 0.5) * wx, fy0 + (int(j) + 0.5) * wy, wx, wy)
             for i, j in zip(ix, iy)]
     result = ComponentCount(count=count, status="heuristic",

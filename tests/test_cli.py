@@ -192,6 +192,17 @@ def test_betti0_auto_resolution(circle_file, capsys):
     assert capsys.readouterr().out == "1\n"
 
 
+def test_betti0_builds_cell_rows_only_for_csv(circle_file, capsys, monkeypatch):
+    from germcone import numtopo
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("component_cells called without --csv")
+
+    monkeypatch.setattr(numtopo, "component_cells", refuse)
+    assert main(["betti0", circle_file, "--box=-2,2,-2,2", "--res", "1/64"]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
 def test_betti0_rejects_multiple_generators(worked_file, tmp_path, capsys):
     bad = tmp_path / "two.ideal"
     bad.write_text("vars x, y;\nx;\ny;\n")
@@ -222,6 +233,9 @@ def test_betti0_rejects_bad_box(circle_file):
     ["betti0", "CIRCLE", "--box=-2,2,-2,2", "--csv", "NODIR"],
     ["analyze", "PARENS400"],                               # nested too deep
     ["analyze", "MINUS2000"],
+    ["betti0", "BIG", "--box=-1,1,-1,1"],                   # 10^400 past float
+    ["betti0", "CIRCLE", "--box=-1e308,1e308,-2,2", "--res", "1e308"],
+    ["betti0", "CIRCLE", "--box=-1e308,1e308,-2,2"],       # width past float
 ])
 def test_out_of_range_arguments_exit_2(argv, circle_file, tmp_path, capsys):
     cone = tmp_path / "cone.ideal"
@@ -233,8 +247,10 @@ def test_out_of_range_arguments_exit_2(argv, circle_file, tmp_path, capsys):
     parens.write_text("vars x;\n" + "(" * 400 + "x" + ")" * 400 + ";\n")
     minus = tmp_path / "minus.ideal"
     minus.write_text("vars x;\n" + "-" * 2000 + "x;\n")
+    big = tmp_path / "big.ideal"
+    big.write_text("vars x, y;\n10^400*x^2 + y^2 - 1;\n")
     files = {"CIRCLE": circle_file, "CONE": str(cone), "X700": str(wide),
-             "PARENS400": str(parens), "MINUS2000": str(minus),
+             "PARENS400": str(parens), "MINUS2000": str(minus), "BIG": str(big),
              "MISSING": str(tmp_path / "missing.ideal"),
              "NODIR": str(tmp_path / "no" / "such" / "dir" / "out")}
     assert main([files.get(a, a) for a in argv]) == 2
@@ -302,3 +318,14 @@ def test_commands_but_betti0_leave_out_numpy_and_scipy(argv, worked_file, tmp_pa
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-3:] == ["0", "False", "False"]
+
+
+def test_betti0_leaves_out_scipy(circle_file):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from germcone.cli import main; "
+         "code = main(sys.argv[1:]); print(code, 'scipy' in sys.modules)",
+         "betti0", circle_file, "--box=-2,2,-2,2", "--res", "1/64"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "0", "False"]

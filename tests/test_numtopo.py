@@ -224,6 +224,28 @@ def test_auto_resolution_respects_budget():
     assert r.cells_examined <= 40_000
 
 
+def test_auto_stops_when_two_levels_agree():
+    # the README example: levels 4 and 5 both count 1, so refinement stops
+    # after 1 + 4 + 16 + 64 + 112 + 144 cells
+    V3 = ("x", "y", "z")
+    f = sum((Polynomial.variable(V3, v) ** 2 for v in V3),
+            Polynomial.zero(V3)) - 4
+    r = count_components(spec(f, (-3, 3, -3, 3), "auto",
+                              fixed={"z": Fraction(1)}))
+    assert r.count == 1
+    assert r.cells_examined == 341
+
+
+@pytest.mark.parametrize("e", [199, 198])
+def test_overflowing_enclosure_keeps_cells(e):
+    # every enclosure past the root is (nan, inf): it proves no sign, so
+    # no cell may be dropped for it
+    box = (-10 ** 200, 10 ** 200, -10 ** 200, 10 ** 200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = count_components(spec(CIRCLE, box, Fraction(10 ** e)))
+    assert r.count >= 1
+
+
 def test_default_budget_constant():
     assert CELL_BUDGET == 10 ** 7
 
@@ -277,8 +299,21 @@ def cell_sets(draw):
     return depth, draw(st.permutations(sorted(cells)))
 
 
-@settings(max_examples=300)
-@given(cell_sets())
+@st.composite
+def dense_cell_sets(draw):
+    # near the site-percolation threshold, where clusters branch and the
+    # hooking needs several rounds
+    depth = draw(st.integers(1, 8))
+    density = draw(st.floats(0.3, 0.8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ix, iy = np.nonzero(rng.random((1 << depth, 1 << depth)) < density)
+    cells = list(zip(ix.tolist(), iy.tolist()))
+    rng.shuffle(cells)
+    return depth, cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(cell_sets(), dense_cell_sets()))
 def test_component_count_matches_bfs(case):
     depth, cells = case
     ix = np.array([i for i, _ in cells], dtype=np.int64)
