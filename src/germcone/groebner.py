@@ -148,11 +148,15 @@ def tangent_cone(gens, budget=PAIR_BUDGET):
     That order homogenizes a local degree order, so the initial forms of
     the dehomogenized basis are already a grevlex Groebner basis of the
     cone (Lazard, EUROCAL 1983; Mora, EUROCAM 1982): interreducing them
-    gives the reduced basis with no second Buchberger run.
+    gives the reduced basis with no second Buchberger run.  A principal
+    ideal's cone is generated by the initial form of its generator, which
+    is what that run returns for one generator.
     """
-    assert gens, "empty generator list"
+    if not gens:
+        raise ValueError("empty generator list")
     vars = gens[0].vars
-    assert all(g.vars == vars for g in gens), "mixed variable tuples"
+    if any(g.vars != vars for g in gens):
+        raise ValueError("mixed variable tuples")
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("every generator is 0; the zero ideal cuts nothing")
@@ -160,6 +164,9 @@ def tangent_cone(gens, budget=PAIR_BUDGET):
         if g.min_degree() == 0:
             raise GermEmptyError(
                 "a generator has a nonzero constant term; the germ misses 0")
+    if len(gens) == 1:
+        init = initial_part(gens[0].with_order(GREVLEX)).init
+        return TangentConeIdeal(vars=vars, generators=[init.monic()])
 
     w = fresh_name(vars)
     ext = (w,) + vars

@@ -113,9 +113,12 @@ class _Encloser:
     def __call__(self, cx, cy, wx, wy):
         lo = np.empty(cx.shape)
         hi = np.empty(cx.shape)
-        for start in range(0, cx.size, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            lo[block], hi[block] = self._block(cx[block], cy[block], wx, wy)
+        # an enclosure past float range comes out inf or NaN, and the
+        # caller keeps such a cell, so numpy's warnings would only be noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, cx.size, _BLOCK):
+                block = slice(start, start + _BLOCK)
+                lo[block], hi[block] = self._block(cx[block], cy[block], wx, wy)
         return lo, hi
 
     def _block(self, cx, cy, wx, wy):

@@ -130,6 +130,8 @@ class _Parser:
         if len(set(names)) != len(names):
             raise ParseError("duplicate variable name", 1, 1)
         self.vars = tuple(names)
+        self.variables = {v: Polynomial.variable(self.vars, v, GREVLEX)
+                          for v in self.vars}
 
         generators = []
         assume_pure = False
@@ -151,12 +153,19 @@ class _Parser:
         return self.vars, generators, assume_pure
 
     def parse_expr(self):
-        acc = self.parse_term()
+        first = self.parse_term()
+        if not (self.at_punct("+") or self.at_punct("-")):
+            return first
+        # one dict and one sort for the whole sum, not one per summand
+        acc = dict(first.terms)
+        get = acc.get
         while self.at_punct("+") or self.at_punct("-"):
-            op = self.next()[1]
-            rhs = self.parse_term()
-            acc = acc + rhs if op == "+" else acc - rhs
-        return acc
+            minus = self.next()[1] == "-"
+            for mono, coeff in self.parse_term().terms:
+                acc[mono] = get(mono, 0) + (-coeff if minus else coeff)
+        return Polynomial._trusted(self.vars,
+                                   [(m, c) for m, c in acc.items() if c],
+                                   GREVLEX)
 
     def parse_term(self):
         acc = self.parse_factor()
@@ -176,9 +185,9 @@ class _Parser:
         kind, value, line, col = self.peek()
         if kind == "ident":
             self.next()
-            if value not in self.vars:
+            if value not in self.variables:
                 raise ParseError(f"unknown variable {value!r}", line, col)
-            return Polynomial.variable(self.vars, value, GREVLEX)
+            return self.variables[value]
         if kind == "nat":
             self.next()
             num = int(value)

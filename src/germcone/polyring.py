@@ -182,8 +182,11 @@ class Polynomial:
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
-            assert other.vars == self.vars, (other.vars, self.vars)
-            assert other.order == self.order, "mixed orders, convert explicitly"
+            if other.vars != self.vars:
+                raise ValueError(f"mixed variable tuples {other.vars} and "
+                                 f"{self.vars}")
+            if other.order != self.order:
+                raise ValueError("mixed orders, convert explicitly")
             return other
         return Polynomial.constant(self.vars, other, self.order)
 
@@ -211,10 +214,15 @@ class Polynomial:
         return self._coerce(other) - self
 
     # Products run on integer numerators over each operand's common
-    # denominator; one Fraction is built per output term.
+    # denominator; one Fraction is built per output term.  A one-term
+    # operand only shifts and scales the other's terms.
 
     def __mul__(self, other):
         other = self._coerce(other)
+        if len(other.terms) == 1:
+            return self.scale_term(*other.terms[0])
+        if len(self.terms) == 1:
+            return other.scale_term(*self.terms[0])
         den_a, ints_a = _numerators(self.terms)
         den_b, ints_b = _numerators(other.terms)
         return _from_ints(self.vars, _int_mul(ints_a, ints_b), den_a * den_b,
@@ -225,12 +233,36 @@ class Polynomial:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError(f"exponent must be a natural number, not {e!r}")
+        if len(self.terms) == 1:
+            (m, c), = self.terms
+            return Polynomial._trusted(self.vars, [(tuple(a * e for a in m),
+                                                    c ** e)],
+                                       self.order, ordered=True)
+        if not self.terms or e == 0:
+            return Polynomial.constant(self.vars, 1 if e == 0 else 0,
+                                       self.order)
+        # Peel the leading term t off: (t + g)^e = sum C(e, k) t^(e-k) g^k.
+        # g^k comes from repeated products by g, which beat squaring on a
+        # sparse base; each is smaller than the power of t + g it replaces.
+        # A direct multinomial expansion is far slower on dense bases.
         den, base = _numerators(self.terms)
-        # repeated products by a sparse base beat squaring
-        acc = {(0,) * len(self.vars): 1}
-        for _ in range(e):
-            acc = _int_mul(acc.items(), base)
-        return _from_ints(self.vars, acc, den ** e, self.order)
+        (lead, c0), g = base[0], base[1:]
+        add = operator.add
+        out = {}
+        get = out.get
+        g_k = {(0,) * len(self.vars): 1}
+        coeff = c0 ** e                   # C(e, k) * c0^(e - k)
+        for k in range(e):
+            shift = tuple(a * (e - k) for a in lead)
+            for m, c in g_k.items():
+                m = tuple(map(add, m, shift))
+                out[m] = get(m, 0) + coeff * c
+            coeff = coeff * (e - k) // ((k + 1) * c0)
+            if k + 1 < e:
+                g_k = _int_mul(g_k.items(), g)
+        # the k = e term, g^e with coefficient 1, is summed in as it is made
+        return _from_ints(self.vars, _int_mul(g_k.items(), g, out),
+                          den ** e, self.order)
 
     def scale_term(self, mono, coeff):
         """Multiply by the single term coeff * x^mono."""
@@ -366,9 +398,10 @@ def _numerators(terms):
     return den, [(m, c.numerator * (den // c.denominator)) for m, c in terms]
 
 
-def _int_mul(a, b):
-    """Product of two integer term lists as {monomial: nonzero int}."""
-    out = {}
+def _int_mul(a, b, out=None):
+    """Product of two integer term lists, plus the {monomial: int} out when
+    given, as {monomial: nonzero int}."""
+    out = {} if out is None else out
     get = out.get
     add = operator.add
     for m1, c1 in a:

@@ -266,6 +266,15 @@ def test_reversed_box_exits_2_under_optimize(circle_file):
     assert proc.stderr.startswith("error:")
 
 
+def test_betti0_overflowing_enclosure_is_quiet(circle_file):
+    # a fresh interpreter: pytest would capture numpy's warnings itself
+    proc = subprocess.run(
+        [sys.executable, "-m", "germcone", "betti0", circle_file,
+         "--box=-1e200,1e200,-1e200,1e200", "--res", "1e199"],
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
 def test_betti0_budget(circle_file):
     assert main(["betti0", circle_file, "--box=-2,2,-2,2", "--res", "1/256",
                  "--budget", "50"]) == 3

@@ -293,6 +293,34 @@ def test_initial_forms_need_no_second_run(gens):
     assert buchberger(cone.generators, GREVLEX).basis == cone.generators
 
 
+@st.composite
+def germ_hypersurfaces(draw):
+    """One polynomial with no constant term in 2-4 variables."""
+    vars = ("x", "y", "z", "t")[:draw(st.integers(2, 4))]
+    monomial = st.tuples(*(st.integers(0, 3) for _ in vars)).filter(any)
+    coeff = st.fractions(min_value=-4, max_value=4,
+                         max_denominator=3).filter(lambda q: q != 0)
+    return Polynomial(vars, draw(st.dictionaries(monomial, coeff, min_size=1,
+                                                 max_size=5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(germ_hypersurfaces())
+def test_principal_cone_matches_buchberger_route(f):
+    # (f) = (f, x f), but only the second takes the Buchberger route
+    x = Polynomial.variable(f.vars, "x")
+    assert tangent_cone([f]).generators == tangent_cone([f, x * f]).generators
+
+
+def test_principal_cone_runs_no_buchberger(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a principal ideal reached buchberger")
+
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+    cone = tangent_cone([Polynomial.zero(V3), X ** 2 - Y ** 3 + X * Z])
+    assert [str(g) for g in cone.generators] == ["x^2 + x*z"]
+
+
 def test_cone_idempotent():
     for gens in ([X * Y, X - Z ** 2], parse_ideal(WORKED).generators):
         once = tangent_cone(gens)
@@ -321,6 +349,14 @@ def test_germ_off_origin_rejected():
 def test_zero_ideal_rejected():
     with pytest.raises(ValueError):
         tangent_cone([Polynomial.zero(V3)])
+
+
+@pytest.mark.parametrize("gens", [
+    [], [X, Polynomial.variable(("x", "y"), "y")],
+], ids=["empty", "mixed-vars"])
+def test_malformed_generator_lists_raise_value_error(gens):
+    with pytest.raises(ValueError):
+        tangent_cone(gens)
 
 
 def test_zero_generators_dropped():

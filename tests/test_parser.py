@@ -51,6 +51,16 @@ def test_comments_and_unary_minus():
     assert f == y - x * x
 
 
+def test_sum_is_folded_in_one_pass(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("a sum was built pairwise")
+
+    monkeypatch.setattr(Polynomial, "__add__", refuse)
+    f = parse_ideal("vars x, y;\nx*y + 2*x - (y^2 - x) - 3*x;\n").generators[0]
+    assert f.terms_dict() == {(1, 1): 1, (0, 2): -1}
+    assert [m for m, _ in f.terms] == [(1, 1), (0, 2)]
+
+
 def test_zero_exponent():
     gens = parse_ideal("vars x;\nx^0;\n").generators
     assert gens[0] == Polynomial.constant(("x",), 1)

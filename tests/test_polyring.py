@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from germcone import polyring
+from germcone.families import family_f
 from germcone.groebner import homogenize
 from germcone.localforms import initial_part
 from germcone.polyring import (
@@ -253,12 +255,65 @@ def test_pow_rejects_negative_exponent():
         X ** -1
 
 
+def test_monomial_power_is_one_term(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a monomial power took a polynomial product")
+
+    monkeypatch.setattr(polyring, "_int_mul", refuse)
+    assert (X ** 3_000_000).terms == (((3_000_000, 0, 0), Fraction(1)),)
+    assert _fraction_terms((Fraction(-2, 3) * X * Y ** 2) ** 5) == {
+        (5, 10, 0): Fraction(-32, 243)}
+
+
+def _repeated_product(f, e):
+    out = Polynomial.constant(f.vars, 1)
+    for _ in range(e):
+        out = out * f
+    return out
+
+
+def _mixed_f46():
+    """f(4, 6) under x -> x + y + z, y -> y + z: 80 terms of mixed signs."""
+    base = family_f(4, 6)
+    x, y, z, *rest = (Polynomial.variable(base.vars, v) for v in base.vars)
+    images = [x + y + z, y + z, z, *rest]
+    f = Polynomial.zero(base.vars)
+    for mono, c in base.terms:
+        term = Polynomial.constant(base.vars, c)
+        for image, e in zip(images, mono):
+            term = term * image ** e
+        f = f + term
+    return f
+
+
+@pytest.mark.parametrize("base, e", [
+    (sum((X ** i for i in range(11)), Polynomial.zero(VARS)), 10),
+    (_mixed_f46(), 3),
+    ((X + Y) ** 2 + X * Y + Fraction(1, 3), 6),
+], ids=["dense-univariate", "mixed-f46", "repeated-leading"])
+def test_pow_with_colliding_monomials(base, e):
+    # the peeled terms C(e, k) t^(e-k) g^k land on shared monomials here
+    assert len(base.terms) > 2
+    assert base ** e == _repeated_product(base, e)
+
+
 # --- the validating constructor ---
 
 @pytest.mark.parametrize("mono", [(1, 2), (1, 0, 0, 0), (1, -1, 0)])
 def test_constructor_rejects_bad_exponents(mono):
     with pytest.raises(ValueError):
         Polynomial(VARS, {mono: 1})
+
+
+@pytest.mark.parametrize("other", [
+    Polynomial.variable(("x", "y"), "x"),
+    Polynomial.variable(VARS, "x", LEX),
+], ids=["mixed-vars", "mixed-orders"])
+def test_mixed_rings_raise_value_error(other):
+    # a check that raises, not an assert, so that it holds under -O
+    for op in (X.__add__, X.__sub__, X.__mul__):
+        with pytest.raises(ValueError):
+            op(other)
 
 
 # --- results built without re-sorting stay strictly descending ---
@@ -275,7 +330,7 @@ def test_trusted_results_stay_descending(f, order, mono, c, v):
     results = [fo, fo.scale_term(mono, c), -fo, fo.monic(), fo * fo,
                fo + fo.scale_term(mono, c),
                fo.substitute({"y": v}), fo.substitute({"x": 1}),
-               fo.derivative("z"), homogenize(fo, ("w",) + VARS)]
+               fo.derivative("z"), homogenize(fo, ("w",) + VARS), fo ** 3]
     if not fo.is_zero():
         results.append(initial_part(fo).init)
     for g in results:
