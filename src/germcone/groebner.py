@@ -2,10 +2,11 @@
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .localforms import initial_part
-from .polyring import (GRADED_FIRST, GREVLEX, Polynomial, divide, fresh_name,
-                       m_deg, m_div, m_divides, m_lcm, m_mul)
+from .polyring import (GRADED_FIRST, GREVLEX, Polynomial, _numerators, divide,
+                       fresh_name, m_deg, m_div, m_divides, m_lcm, m_mul)
 
 PAIR_BUDGET = 10 ** 6
 CELL_BUDGET = 10 ** 7    # numtopo's; here so that the CLI need not import it
@@ -36,12 +37,24 @@ class TangentConeIdeal:
 
 
 def spoly(f, g, order):
-    """S-polynomial, cancelling the leading terms of f and g."""
-    lm_f, lc_f = f.leading_term()
-    lm_g, lc_g = g.leading_term()
+    """S-polynomial, cancelling the leading terms of f and g.
+
+    With F, G the integer numerators of f, g and a, b their leading ones,
+    S = (b x^(u/lm_f) F - a x^(u/lm_g) G) / (a b) for u the lcm of the
+    leading monomials: one Fraction per term.
+    """
+    (lm_f, a), *tail_f = _numerators(f)[1]
+    (lm_g, b), *tail_g = _numerators(g)[1]
     u = m_lcm(lm_f, lm_g)
-    return (f.scale_term(m_div(u, lm_f), 1 / lc_f)
-            - g.scale_term(m_div(u, lm_g), 1 / lc_g))
+    out = {}
+    for shift, scale, tail in ((m_div(u, lm_f), b, tail_f),
+                               (m_div(u, lm_g), -a, tail_g)):
+        for m, c in tail:
+            m = m_mul(shift, m)
+            out[m] = out.get(m, 0) + scale * c
+    ab = a * b
+    return Polynomial._trusted(f.vars, [(m, Fraction(c, ab))
+                                        for m, c in out.items() if c], order)
 
 
 def _chain_skip(i, j, lcm_ij, basis, pending):

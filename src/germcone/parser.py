@@ -5,6 +5,7 @@ polynomial statement per ';'.  '#' starts a comment.  An optional
 "assume pure_dimensional;" statement sets the corresponding flag.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 import json
@@ -156,16 +157,12 @@ class _Parser:
         first = self.parse_term()
         if not (self.at_punct("+") or self.at_punct("-")):
             return first
-        # one dict and one sort for the whole sum, not one per summand
-        acc = dict(first.terms)
-        get = acc.get
+        summands = [first]
         while self.at_punct("+") or self.at_punct("-"):
             minus = self.next()[1] == "-"
-            for mono, coeff in self.parse_term().terms:
-                acc[mono] = get(mono, 0) + (-coeff if minus else coeff)
-        return Polynomial._trusted(self.vars,
-                                   [(m, c) for m, c in acc.items() if c],
-                                   GREVLEX)
+            term = self.parse_term()
+            summands.append(-term if minus else term)
+        return _fold_sum(self.vars, summands)
 
     def parse_term(self):
         acc = self.parse_factor()
@@ -212,6 +209,40 @@ class _Parser:
             self.depth -= 1
             return inner
         self.fail("expected variable, number, '(' or '-'")
+
+
+def _fold_sum(vars, summands):
+    """The sum of the summands, built in one pass, not pairwise.
+
+    All terms go into one dict and are sorted once.  When one summand holds
+    nearly all the terms, as in (x + y + z + 1)^30 - 1, the few others are
+    placed into its sorted terms by bisection instead of sorting them all.
+    """
+    # by position: a variable's summands are one shared object
+    i_big = max(range(len(summands)), key=lambda i: len(summands[i].terms))
+    big = summands.pop(i_big)
+    n = len(big.terms)
+    rest = [t for f in summands for t in f.terms]
+    if len(rest) * n.bit_length() < n:
+        terms = list(big.terms)
+        dkey = GREVLEX.desc_key
+        for m, c in rest:
+            i = bisect_left(terms, dkey(m), key=lambda t: dkey(t[0]))
+            if i < len(terms) and terms[i][0] == m:
+                c += terms[i][1]
+                if c:
+                    terms[i] = (m, c)
+                else:
+                    del terms[i]
+            else:
+                terms.insert(i, (m, c))
+        return Polynomial._trusted(vars, terms, GREVLEX, ordered=True)
+    acc = dict(big.terms)
+    get = acc.get
+    for mono, coeff in rest:
+        acc[mono] = get(mono, 0) + coeff
+    return Polynomial._trusted(vars, [(m, c) for m, c in acc.items() if c],
+                               GREVLEX)
 
 
 def parse_ideal(text, source="<memory>"):

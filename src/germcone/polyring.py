@@ -1,8 +1,9 @@
 """Exact multivariate polynomial arithmetic over Q with pluggable monomial orders."""
 
+import heapq
 import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 # --- monomials are plain exponent tuples ---
@@ -48,7 +49,8 @@ class MonomialOrder:
     __slots__ = ("kind",)
 
     def __init__(self, kind):
-        assert kind in ("grevlex", "grlex", "lex", "gradedfirst"), kind
+        if kind not in ("grevlex", "grlex", "lex", "gradedfirst"):
+            raise ValueError(f"unknown monomial order {kind!r}")
         self.kind = kind
 
     def key(self, m):
@@ -59,6 +61,17 @@ class MonomialOrder:
         if self.kind == "lex":
             return m
         return (sum(m), m[0], tuple(map(operator.neg, reversed(m[1:]))))
+
+    def desc_key(self, m):
+        """Ascending in desc_key is descending in key: a min-heap pops the
+        largest monomial first."""
+        if self.kind == "grevlex":
+            return (-sum(m), tuple(reversed(m)))
+        if self.kind == "grlex":
+            return (-sum(m), tuple(map(operator.neg, m)))
+        if self.kind == "lex":
+            return tuple(map(operator.neg, m))
+        return (-sum(m), -m[0], tuple(reversed(m[1:])))
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.kind == other.kind
@@ -82,9 +95,10 @@ class Polynomial:
     Every coefficient in terms is a nonzero Fraction on its own monomial, so
     division by a coefficient is exact.  The constructor validates and
     combines its input; results computed here go through _trusted instead.
+    The integer form of the terms is cached in _ints by _numerators.
     """
 
-    __slots__ = ("vars", "order", "terms")
+    __slots__ = ("vars", "order", "terms", "_ints")
 
     def __init__(self, vars, terms, order=GREVLEX):
         self.vars = tuple(vars)
@@ -223,8 +237,8 @@ class Polynomial:
             return self.scale_term(*other.terms[0])
         if len(self.terms) == 1:
             return other.scale_term(*self.terms[0])
-        den_a, ints_a = _numerators(self.terms)
-        den_b, ints_b = _numerators(other.terms)
+        den_a, ints_a = _numerators(self)
+        den_b, ints_b = _numerators(other)
         return _from_ints(self.vars, _int_mul(ints_a, ints_b), den_a * den_b,
                           self.order)
 
@@ -245,7 +259,7 @@ class Polynomial:
         # g^k comes from repeated products by g, which beat squaring on a
         # sparse base; each is smaller than the power of t + g it replaces.
         # A direct multinomial expansion is far slower on dense bases.
-        den, base = _numerators(self.terms)
+        den, base = _numerators(self)
         (lead, c0), g = base[0], base[1:]
         add = operator.add
         out = {}
@@ -392,10 +406,17 @@ def _frac_str(c):
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _numerators(terms):
-    """(den, [(m, c * den)]) for the least common denominator den of terms."""
-    den = lcm(*(c.denominator for _, c in terms))
-    return den, [(m, c.numerator * (den // c.denominator)) for m, c in terms]
+def _numerators(p):
+    """(den, [(m, c * den)]) over p's terms, for the least common denominator
+    den of its coefficients; computed once per polynomial."""
+    try:
+        return p._ints
+    except AttributeError:
+        terms = p.terms
+        den = lcm(*(c.denominator for _, c in terms))
+        p._ints = den, [(m, c.numerator * (den // c.denominator))
+                        for m, c in terms]
+        return p._ints
 
 
 def _int_mul(a, b, out=None):
@@ -423,31 +444,62 @@ def divide(f, divisors, order):
     Divisors are tried in list order at every step.  No monomial of the
     remainder is divisible by any divisor's leading monomial.  Popped
     monomials strictly decrease, so each quotient monomial is written once.
+
+    The dividend is held as integers over one denominator D.  Reducing a
+    lead numerator a by a divisor with lead numerator L scales the dividend,
+    the remainder and D by L / gcd(a, L), so every step stays integral; one
+    Fraction is built per quotient and remainder term, at the end.
     """
-    assert all(not d.is_zero() for d in divisors), "zero divisor"
-    quotients = [{} for _ in divisors]
+    if any(d.is_zero() for d in divisors):
+        raise ValueError("zero divisor")
+    divs = []
+    for d in divisors:
+        den, ints = _numerators(d.with_order(order))
+        (lm, lc), tail = ints[0], ints[1:]
+        divs.append((lm, lc, den, tail, {}))
+    D, p = _numerators(f)
+    p = dict(p)
+    dkey = order.desc_key
+    heap = [(dkey(m), m) for m in p]
+    heapq.heapify(heap)
+    pop, push, get = heapq.heappop, heapq.heappush, p.get
+    add, le = operator.add, operator.le
     remainder = {}
-    lead = [(d.with_order(order)) for d in divisors]
-    p = dict(f.terms)
-    key = order.key
-    while p:
-        mono = max(p, key=key)
-        coeff = p.pop(mono)
-        for i, d in enumerate(lead):
-            lm, lc = d.leading_term()
-            if m_divides(lm, mono):
+    while heap:
+        mono = pop(heap)[1]
+        # a monomial never comes back once popped, so cancelled ones stay in
+        # p as 0 and each monomial enters the heap once
+        a = p.pop(mono)
+        if not a:
+            continue
+        for lm, lc, den, tail, quotient in divs:
+            if all(map(le, lm, mono)):
+                g = gcd(a, lc)
+                s, b = lc // g, a // g
+                if s != 1:
+                    D *= s
+                    for m in p:
+                        p[m] *= s
+                    for m in remainder:
+                        remainder[m] *= s
                 q = m_div(mono, lm)
-                factor = coeff / lc
-                quotients[i][q] = factor
-                for m2, c2 in d.terms[1:]:
-                    mm = m_mul(q, m2)
-                    c = p.get(mm, 0) - factor * c2
-                    if c:
-                        p[mm] = c
-                    elif mm in p:
-                        del p[mm]
+                quotient[q] = (b * den, D)
+                for m2, c2 in tail:
+                    mm = tuple(map(add, q, m2))
+                    c = get(mm)
+                    if c is None:
+                        p[mm] = -b * c2
+                        push(heap, (dkey(mm), mm))
+                    else:
+                        p[mm] = c - b * c2
                 break
         else:
-            remainder[mono] = coeff
-    return ([Polynomial._trusted(f.vars, q.items(), order) for q in quotients],
-            Polynomial._trusted(f.vars, remainder.items(), order))
+            remainder[mono] = a
+    vars = f.vars
+    return ([Polynomial._trusted(vars, [(m, Fraction(n, d)) for m, (n, d)
+                                        in quotient.items()], order,
+                                 ordered=True)
+             for *_, quotient in divs],
+            Polynomial._trusted(vars, [(m, Fraction(c, D)) for m, c
+                                       in remainder.items()], order,
+                                ordered=True))

@@ -182,6 +182,29 @@ def test_pair_order_pins_the_work(make, work):
         buchberger(gens, order, budget=work[0] - 1)
 
 
+def test_divide_hook_counts_every_reduction(monkeypatch):
+    # the benchmark wraps groebner.divide and reports progress in its calls:
+    # one per S-pair reduction, then one per element per interreduce pass
+    calls, inside = [], []
+    divide_, interreduce_ = groebner.divide, groebner._interreduce
+
+    def counted_divide(*args):
+        calls.append(1)
+        return divide_(*args)
+
+    def counted_interreduce(*args):
+        before = len(calls)
+        out = interreduce_(*args)
+        inside.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(groebner, "divide", counted_divide)
+    monkeypatch.setattr(groebner, "_interreduce", counted_interreduce)
+    gb = buchberger(*_worked_cone_run())
+    assert inside == [2 * len(gb.basis)]    # one pass changes, one confirms
+    assert len(calls) == gb.reductions + sum(inside) == 27 + 30
+
+
 def test_agrees_with_sympy():
     syms = sp.symbols("x y z")
 

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from germcone.parser import (MAX_NESTING, IdealFile, ParseError, format_ideal,
                              parse_ideal)
-from germcone.polyring import Polynomial
+from germcone.polyring import MonomialOrder, Polynomial
 
 WORKED = """\
 vars x, y, z;
@@ -59,6 +59,47 @@ def test_sum_is_folded_in_one_pass(monkeypatch):
     f = parse_ideal("vars x, y;\nx*y + 2*x - (y^2 - x) - 3*x;\n").generators[0]
     assert f.terms_dict() == {(1, 1): 1, (0, 2): -1}
     assert [m for m, _ in f.terms] == [(1, 1), (0, 2)]
+
+
+small_summands = st.lists(st.tuples(
+    st.sampled_from(["+", "-"]),
+    st.sampled_from(["1", "x^7", "3/2*x*y*z^3", "y^8", "x*y*z", "z^6", "x",
+                     "y*z^5", "2*x^2*y^2*z^2", "x^5*z"])), max_size=4)
+
+
+@given(st.sampled_from(["+", "-"]), small_summands)
+def test_few_terms_placed_into_a_large_summand(sign, small):
+    # (x + y + z + 1)^6 holds 84 terms, so a sum of it and at most four
+    # others takes the bisection route; the others land on its terms
+    # (- 1 and - z^6 cancel one), on each other, or on new monomials
+    big = "(x + y + z + 1)^6"
+    text = (sign + " " if sign == "-" else "") + big + "".join(
+        f" {s} {t}" for s, t in small)
+    got = parse_ideal(f"vars x, y, z;\n{text};\n").generators[0]
+    want = parse_ideal(f"vars x, y, z;\n{big};\n").generators[0]
+    if sign == "-":
+        want = -want
+    for s, t in small:
+        t = parse_ideal(f"vars x, y, z;\n{t};\n").generators[0]
+        want = want + t if s == "+" else want - t
+    assert got.terms == want.terms
+
+
+def test_large_sum_is_not_sorted_again(monkeypatch):
+    calls = []
+    key = MonomialOrder.key
+
+    def counted(self, m):
+        calls.append(1)
+        return key(self, m)
+
+    monkeypatch.setattr(MonomialOrder, "key", counted)
+    power = parse_ideal("vars x, y, z;\n(x + y + z + 1)^30;\n").generators[0]
+    power_calls = len(calls)
+    f = parse_ideal("vars x, y, z;\n(x + y + z + 1)^30 - 1;\n").generators[0]
+    # the same sort as the power alone, and one key for the constant 1
+    assert len(calls) - power_calls <= power_calls + 1
+    assert f.terms == (power - 1).terms and len(f.terms) == 5455
 
 
 def test_zero_exponent():

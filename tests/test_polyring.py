@@ -116,6 +116,12 @@ def test_terms_sorted_descending(f, order):
     assert keys == sorted(keys, reverse=True)
 
 
+@given(st.lists(monomials, unique=True), all_orders)
+def test_desc_key_reverses_key(monos, order):
+    assert sorted(monos, key=order.desc_key) == sorted(
+        monos, key=order.key, reverse=True)
+
+
 def test_homogeneous_flag():
     assert (X * Y + Z ** 2).is_homogeneous()
     assert not (X + Z ** 2).is_homogeneous()
@@ -179,8 +185,93 @@ def test_division_by_self():
 
 
 def test_divide_rejects_zero_divisor():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         divide(X, [Polynomial.zero(VARS)], GREVLEX)
+
+
+def test_unknown_order_kind_raises_value_error():
+    with pytest.raises(ValueError):
+        MonomialOrder("bogus")
+
+
+def _ref_divide(f, divisors, order):
+    """The division loop term by term on Fractions: the largest remaining
+    monomial is found by a scan, and each step divides by the lead."""
+    quotients = [{} for _ in divisors]
+    remainder = {}
+    lead = [d.with_order(order) for d in divisors]
+    p = dict(f.terms)
+    while p:
+        mono = max(p, key=order.key)
+        coeff = p.pop(mono)
+        for i, d in enumerate(lead):
+            lm, lc = d.leading_term()
+            if m_divides(lm, mono):
+                q = tuple(a - b for a, b in zip(mono, lm))
+                factor = coeff / lc
+                quotients[i][q] = factor
+                for m2, c2 in d.terms[1:]:
+                    mm = tuple(a + b for a, b in zip(q, m2))
+                    c = p.get(mm, 0) - factor * c2
+                    if c:
+                        p[mm] = c
+                    elif mm in p:
+                        del p[mm]
+                break
+        else:
+            remainder[mono] = coeff
+    return quotients, remainder
+
+
+def _ordered_terms(p, order):
+    keys = [order.key(m) for m, _ in p.terms]
+    assert keys == sorted(keys, reverse=True)
+    assert all(type(c) is Fraction and c for _, c in p.terms)
+    return list(p.terms)
+
+
+def _assert_divide_matches_reference(f, divisors, order):
+    quotients, r = divide(f, divisors, order)
+    ref_q, ref_r = _ref_divide(f, divisors, order)
+    assert len(quotients) == len(divisors)
+    for q, want in zip(quotients, ref_q):
+        assert _ordered_terms(q, order) == sorted(
+            want.items(), key=lambda t: order.key(t[0]), reverse=True)
+    assert _ordered_terms(r, order) == sorted(
+        ref_r.items(), key=lambda t: order.key(t[0]), reverse=True)
+
+
+# leads with rational, non-monic coefficients, some on shared monomials
+lead_coefficients = st.sampled_from(
+    [Fraction(3, 7), Fraction(-1, 2), Fraction(5), Fraction(-9, 4)])
+
+
+@st.composite
+def rational_divisors(draw):
+    tail = draw(term_dicts)
+    mono = draw(monomials)
+    tail[mono] = draw(lead_coefficients)
+    return poly(tail)
+
+
+@settings(max_examples=400)
+@given(polys, st.lists(st.one_of(nonzero_polys, rational_divisors()),
+                       min_size=1, max_size=3), all_orders)
+def test_divide_matches_fraction_reference(f, divisors, order):
+    _assert_divide_matches_reference(f, divisors, order)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, GRLEX, LEX, GRADED_FIRST])
+def test_divide_reference_cases(order):
+    a = Fraction(3, 7) * X * Y - Fraction(1, 2)
+    b = Fraction(-5, 3) * X * Y + Z ** 2 - 2
+    f = Fraction(2, 9) * X ** 3 * Y ** 2 - X * Y * Z + Fraction(1, 5) * Y
+    for f_, divisors in ((f, [a]), (f, [a, b]), (f, [b, a, X + Fraction(1, 3)]),
+                         (Polynomial.zero(VARS), [a, b]), (a, [a]),
+                         (f ** 2, [a * b, b, a])):
+        _assert_divide_matches_reference(f_, divisors, order)
+    (q1, q2), r = divide(Polynomial.zero(VARS), [a, b], order)
+    assert q1.is_zero() and q2.is_zero() and r.is_zero()
 
 
 # --- printing round-trips through the constructor ---
