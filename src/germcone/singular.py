@@ -1,9 +1,8 @@
 """Jacobian-criterion singular locus of the tangent cone and its dimension."""
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .groebner import GREVLEX, PAIR_BUDGET, ResourceLimitExceeded, buchberger
@@ -43,7 +42,8 @@ def _minor_count(gens, n, c):
 
 def jacobian_minors(gens, c):
     """All c x c minors of the Jacobian of gens, zero minors dropped."""
-    assert gens
+    if not gens:
+        raise ValueError("jacobian_minors needs at least one generator")
     vars = gens[0].vars
     n = len(vars)
     if not 1 <= c <= min(len(gens), n):
@@ -104,36 +104,79 @@ def _reduce(f):
     return out
 
 
+def _directional(f, b):
+    """The derivative of f mod P along the vector b, sum_j b_j df/dx_j."""
+    out = {}
+    for m, v in f.items():
+        for j, e in enumerate(m):
+            if e:
+                dm = m[:j] + (e - 1,) + m[j + 1:]
+                out[dm] = (out.get(dm, 0) + b[j] * e * v) % P
+    return _ModP({m: v for m, v in out.items() if v})
+
+
+def _draw(rng, reduced, n, c):
+    """The next seeded c x c matrix A J B, as entries d_{b_l}(sum_i A_ki g_i).
+
+    A is c x len(reduced) and B is n x c, drawn in that order; row k of A
+    combines the generators once, and column l of B is a direction to
+    differentiate that combination along, which is row k of A J times
+    column l of B.
+    """
+    A = [[rng.randrange(P) for _ in reduced] for _ in range(c)]
+    Bt = [[rng.randrange(P) for _ in range(n)] for _ in range(c)]
+    combos = [_lincomb(zip(a, reduced)) for a in A]
+    return [[_directional(h, b) for b in Bt] for h in combos]
+
+
+def _too_wide(D, n):
+    """Whether degree D's table of N rows of N residues, N = C(D+n-1, n-1),
+    would hold more than ten times the MINOR_CAP entries."""
+    return comb(D + n - 1, n - 1) ** 2 > 10 * MINOR_CAP
+
+
+def _monomials(n, D):
+    """The exponent vectors of degree D in n variables, in a fixed order."""
+    for picks in combinations_with_replacement(range(n), D):
+        e = [0] * n
+        for i in picks:
+            e[i] += 1
+        yield tuple(e)
+
+
 def _insert(pivots, row):
-    """Reduce row against pivots {lead monomial: monic row}; keep it if nonzero."""
-    row = dict(row)
-    while row:
-        lead = max(row)
-        pivot = pivots.get(lead)
+    """Reduce a dense row in one forward sweep; keep it if nonzero.
+
+    pivots maps a lead position to the monic tail of its row from there on.
+    """
+    for j in range(len(row)):
+        a = row[j]
+        if not a:
+            continue
+        pivot = pivots.get(j)
         if pivot is None:
-            inv = pow(row[lead], -1, P)
-            pivots[lead] = {m: v * inv % P for m, v in row.items()}
+            inv = pow(a, -1, P)
+            pivots[j] = [v * inv % P for v in row[j:]]
             return True
-        a = row[lead]
-        for m, v in pivot.items():
-            r = (row.get(m, 0) - a * v) % P
-            if r:
-                row[m] = r
-            else:
-                row.pop(m, None)
+        row[j:] = [(r - a * p) % P for r, p in zip(row[j:], pivot)]
     return False
 
 
 def _m_primary(gens, n, c):
-    """True when some degree D >= 1 of (gens, c x c Jacobian minors) is full.
+    """True when, mod P, one degree D of the ideal (gens, c x c minors) is full.
 
-    The ranks are taken mod P over the generators and the homogeneous
-    components of seeded Cauchy-Binet combinations det(A J B), drawn until
-    one adds no rank.  False means only that this test did not settle the
+    D is the lowest degree of the first seeded Cauchy-Binet combination
+    det(A J B).  Degree D's echelon starts from every monomial multiple
+    x^a g of degree D of a generator g, then takes the degree-D component
+    of each draw until one adds no rank.  Its rows are dense lists over the
+    degree-D monomials, each reduced in one forward sweep, and each draw's
+    matrix is c combinations of the generators differentiated along c
+    directions.  False means only that this test did not settle the
     question.  It declines inputs over MINOR_CAP, which jacobian_minors
-    refuses, c > CERT_MAX_C, where the combinations are dense and their
-    cofactor expansion costs more than the sparse minors, and inputs with
-    too few generators and minors to fill any degree.
+    refuses; c > CERT_MAX_C, where the combinations are dense and their
+    cofactor expansion costs more than the sparse minors; inputs with few
+    generators and minors against the monomials of the lowest degree they
+    reach; and a degree D whose dense table would be too wide.
     """
     if not 1 <= c <= min(len(gens), n, CERT_MAX_C):
         return False
@@ -144,44 +187,47 @@ def _m_primary(gens, n, c):
     degs = sorted(g.degree() for g in gens)
     if degs[c - 1] == 1:                            # a minor may be constant
         return False
-    # Degree-D rows come from degree-D generators and the span of the
-    # homogeneous degree-D minors, so no degree fills when even the lowest
-    # one holds more monomials than there are generators and minors.
-    low = min(degs[0], sum(e - 1 for e in degs[:c]))
-    if len(gens) + _minor_count(gens, n, c) < comb(low + n - 1, n - 1):
+    # A cost gate, not a bound on the rank, since multiples add rows too:
+    # with fewer generators and minors than the monomials of the lowest
+    # degree they reach, a full degree is too unlikely to pay for draws.
+    low = sum(e - 1 for e in degs[:c])              # the lowest minor degree
+    if len(gens) + _minor_count(gens, n, c) < comb(min(degs[0], low) + n - 1,
+                                                  n - 1):
+        return False
+    if _too_wide(low, n):                           # D >= low is wider still
         return False
     reduced = [_reduce(g) for g in gens]
     if any(g is None for g in reduced):
         return False
-    cols = list(zip(*[[_reduce(g.derivative(v)) for v in g.vars] for g in gens]))
-    pivots = defaultdict(dict)          # degree -> its echelon rows
-
-    def add(f):
-        """Adds f's components: (whether the rank grew, whether a degree is full)."""
-        parts = defaultdict(dict)
-        for m, v in f.items():
-            parts[m_deg(m)][m] = v
-        grew = False
-        for D, part in parts.items():
-            if _insert(pivots[D], part):
-                grew = True
-                if len(pivots[D]) == comb(D + n - 1, n - 1):
-                    return True, True
-        return grew, False
-
-    for g in reduced:
-        if add(g)[1]:
-            return True
     rng = random.Random(0)
-    while True:     # ends: the rank is finite and a draw that adds none returns
-        A = [[rng.randrange(P) for _ in gens] for _ in range(c)]
-        Bt = [[rng.randrange(P) for _ in range(n)] for _ in range(c)]
-        AJ = [[_lincomb(zip(a, col)) for col in cols] for a in A]
-        grew, full = add(_det([[_lincomb(zip(b, row)) for b in Bt] for row in AJ]))
-        if full:
+    draw = _det(_draw(rng, reduced, n, c))
+    if not draw:
+        return False
+    D = min(map(m_deg, draw))
+    if _too_wide(D, n):
+        return False
+    index = {m: i for i, m in enumerate(_monomials(n, D))}
+    pivots = {}
+
+    def grows(f, shift):
+        """Inserts x^shift times f's degree-D part: whether the rank grew."""
+        row = [0] * len(index)
+        for m, v in f.items():
+            i = index.get(m_mul(m, shift))
+            if i is not None:
+                row[i] = v
+        return _insert(pivots, row)
+
+    multiples = ((g, a) for g, e in zip(reduced, (g.degree() for g in gens))
+                 if e <= D for a in _monomials(n, D - e))
+    if any(grows(g, a) and len(pivots) == len(index) for g, a in multiples):
+        return True
+    zero = (0,) * n
+    while grows(draw, zero):        # ends: the rank is at most len(index)
+        if len(pivots) == len(index):
             return True
-        if not grew:
-            return False
+        draw = _det(_draw(rng, reduced, n, c))
+    return False
 
 
 def singular_dimension(cone, n, d, budget=PAIR_BUDGET):
@@ -193,17 +239,25 @@ def singular_dimension(cone, n, d, budget=PAIR_BUDGET):
     the minors are within MINOR_CAP, the generators are homogeneous of
     degree >= 1, fewer than c are linear (so every minor is homogeneous of
     degree >= 1 and I is not (1)) and every coefficient reduces mod P.
-    Each Cauchy-Binet combination det(A J B) is a linear combination of
-    minors, so it and, I being homogeneous, each of its homogeneous
-    components lie in I.  Reducing p-integral elements of I of degree D
-    mod P can only lower their rank, since a nonzero maximal minor mod P is
-    nonzero over Q: if they reach rank C(D+n-1, n-1) mod P, then m^D is in
-    I over Q, V(I) is the origin and s = 0.  The seeded draws decide only
-    whether this path is taken, never the value of s; when it does not
-    fire, the exact path below runs unchanged.
+    It works in one degree D, the lowest of the first seeded Cauchy-Binet
+    combination det(A J B), and declines when that degree has too many
+    monomials for a dense table.  Its rows are the monomial multiples
+    x^a g of degree D of the generators, which lie in I, and the degree-D
+    components of seeded draws: each det(A J B) is a linear combination of
+    minors, its matrix entries being the derivatives of c combinations of
+    the generators along c directions, so it and, I being homogeneous, each
+    of its homogeneous components lie in I.  Each row is reduced mod P in
+    one forward sweep over the degree-D monomials.  Reducing p-integral
+    elements of I of degree D mod P can only lower their rank, since a
+    nonzero maximal minor mod P is nonzero over Q: if they reach rank
+    C(D+n-1, n-1) mod P, then m^D is in I over Q, V(I) is the origin and
+    s = 0.  The seeded draws decide only whether this path is taken, never
+    the value of s; when it does not fire, the exact path below runs
+    unchanged.
     """
     gens = list(cone.generators)
-    assert gens
+    if not gens:
+        raise ValueError("singular_dimension needs at least one cone generator")
     c = n - d
     if _m_primary(gens, n, c):
         return SingularLocusData(0, False)

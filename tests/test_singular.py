@@ -1,16 +1,22 @@
 """Jacobian criterion on tangent cones: minors, emptiness, dimension."""
 
 import json
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germcone import singular
 from germcone.cli import main
-from germcone.families import family_g, family_linear_union
+from germcone.families import (family_g, family_linear_union, transform_embed,
+                               transform_product)
 from germcone.groebner import ResourceLimitExceeded, TangentConeIdeal, tangent_cone
 from germcone.hilbert import hilbert_series, leading_ideal
-from germcone.parser import parse_ideal
+from germcone.parser import IdealFile, format_ideal, parse_ideal
 from germcone.polyring import Polynomial
 from germcone.singular import MINOR_CAP, P, jacobian_minors, singular_dimension
 
@@ -47,12 +53,16 @@ def test_minor_size_validation():
         jacobian_minors([X, Y], 0)
 
 
+def test_minors_of_no_generators_is_a_value_error():
+    with pytest.raises(ValueError):
+        jacobian_minors([], 1)
+
+
 def test_minor_cap():
     n = 24
     vars = tuple(f"x{i}" for i in range(n))
     gens = [Polynomial.variable(vars, v) for v in vars]
     c = 12
-    from math import comb
     assert comb(n, c) ** 2 > MINOR_CAP
     with pytest.raises(ResourceLimitExceeded):
         jacobian_minors(gens, c)
@@ -82,6 +92,11 @@ def test_smooth_quadric_cone_vertex():
     data = singular_dimension(cone, 3, 2)
     assert data.s == 0
     assert not data.empty
+
+
+def test_empty_cone_is_a_value_error():
+    with pytest.raises(ValueError):
+        singular_dimension(TangentConeIdeal(vars=V3, generators=[]), 3, 3)
 
 
 def test_worked_example_singular_dimension():
@@ -135,10 +150,17 @@ def _cone_n_d(gens):
     return cone, n, hilbert_series(leading_ideal(cone.generators), n).dim_affine
 
 
+# An optional fifth entry is a transform applied to the union's generators;
+# the embedded unions carry a linear generator, whose degree-D multiples
+# the certificate needs.
 @pytest.mark.parametrize("args", [(3, 2, 2, 2), (4, 3, 3, 1), (4, 3, 3, 2),
-                                  (5, 3, 3, 1)])
+                                  (5, 3, 3, 1), (4, 3, 3, 2, transform_embed),
+                                  (5, 3, 3, 1, transform_embed)])
 def test_certificate_agrees_with_exact_path(args, monkeypatch):
-    cone, n, d = _cone_n_d(family_linear_union(*args))
+    gens = family_linear_union(*args[:4])
+    for transform in args[4:]:
+        gens = transform(gens)
+    cone, n, d = _cone_n_d(gens)
     calls = _counting_buchberger(monkeypatch)
     fast = singular_dimension(cone, n, d)
     assert not calls                    # the certificate settled it
@@ -225,3 +247,119 @@ def test_certificate_declines_when_no_degree_can_fill(monkeypatch):
     monkeypatch.setattr(singular, "_m_primary", lambda *_: False)
     assert data == singular_dimension(cone, 3, 2)
     assert (data.s, data.empty) == (0, False)
+
+
+def test_embedded_union_5332_analyze_takes_the_certificate(tmp_path,
+                                                           monkeypatch):
+    # The linear generator's degree-4 multiples fill the rows no minor
+    # reaches; without them 8159 Q minors and a Buchberger run follow.
+    gens = transform_embed(family_linear_union(5, 3, 3, 2))
+    ideal, out = tmp_path / "e.ideal", tmp_path / "e.json"
+    ideal.write_text(format_ideal(IdealFile(vars=gens[0].vars,
+                                            generators=gens)))
+    for name in ("buchberger", "jacobian_minors"):
+        _forbid(monkeypatch, name)
+    assert main(["analyze", str(ideal), "-o", str(out)]) in (0, 4)
+    report = json.loads(out.read_text())
+    assert [report[k] for k in ("dimension_d", "multiplicity_mu",
+                                "singular_dimension_s")] == [3, 1, 0]
+
+
+def test_certificate_declines_a_table_wider_than_the_cap(monkeypatch):
+    # (x0, x1, x2)^3 in 8 variables: d = 5, c = 3, and the minors start in
+    # degree 6, whose C(13, 7) = 1716 monomials make a dense table of
+    # 1716^2 > 10 * MINOR_CAP residues.  The count gate alone would pass.
+    n, k, e = 8, 3, 3
+    vars = tuple(f"x{i}" for i in range(n))
+    xs = [Polynomial.variable(vars, v) for v in vars[:k]]
+    gens = []
+    for picks in combinations_with_replacement(range(k), e):
+        g = xs[picks[0]]
+        for i in picks[1:]:
+            g = g * xs[i]
+        gens.append(g)
+    low = k * (e - 1)
+    assert comb(low + n - 1, n - 1) ** 2 > 10 * MINOR_CAP
+    assert len(gens) + singular._minor_count(gens, n, k) >= comb(e + n - 1,
+                                                                n - 1)
+    cone = TangentConeIdeal(vars=vars, generators=gens)
+    for name in ("_reduce", "_lincomb", "_insert"):
+        _forbid(monkeypatch, name)
+    assert singular._m_primary(gens, n, k) is False
+    data = singular_dimension(cone, n, n - k)
+    monkeypatch.setattr(singular, "_m_primary", lambda *_: False)
+    assert data == singular_dimension(cone, n, n - k)
+    assert (data.s, data.empty) == (5, False)
+
+
+# --- the certificate's draws against the Jacobian product they stand for ---
+
+def _ref_draw(rng, gens, n, c):
+    """A J B as built before the draws became directional derivatives: the
+    Jacobian mod P, c x n combinations of its columns by A, then c x c
+    combinations of those by B."""
+    cols = list(zip(*[[singular._reduce(g.derivative(v)) for v in g.vars]
+                      for g in gens]))
+    A = [[rng.randrange(P) for _ in gens] for _ in range(c)]
+    Bt = [[rng.randrange(P) for _ in range(n)] for _ in range(c)]
+    AJ = [[singular._lincomb(zip(a, col)) for col in cols] for a in A]
+    return [[singular._lincomb(zip(b, row)) for b in Bt] for row in AJ]
+
+
+WORKED = ("vars x, y, z;\n"
+          "x*(x - z^3)*(x - 2*z^2);\n"
+          "y*(y - z^3)*(y - 2*z^2);\n"
+          "(x + y)*(x + y - z^3);\n")
+
+
+@pytest.mark.parametrize("gens", [
+    parse_ideal(WORKED).generators,
+    family_linear_union(5, 3, 3, 2),
+    transform_embed(parse_ideal(WORKED).generators),
+], ids=["worked", "union5332", "embed-worked"])
+def test_draws_equal_the_jacobian_product(gens):
+    cone, n, d = _cone_n_d(gens)
+    gens = list(cone.generators)
+    c = n - d
+    reduced = [singular._reduce(g) for g in gens]
+    new, ref = random.Random(0), random.Random(0)
+    for _ in range(4):
+        got = singular._draw(new, reduced, n, c)
+        want = _ref_draw(ref, gens, n, c)
+        assert [[dict(f) for f in row] for row in got] == \
+            [[dict(f) for f in row] for row in want]
+    assert new.random() == ref.random()       # the same seeded sequence
+
+
+# --- soundness: a fired certificate always means s = 0 ---
+
+@st.composite
+def small_homogeneous_cones(draw):
+    """Generators of a small homogeneous ideal, possibly embedded or made a
+    cylinder, in at most 5 variables."""
+    n = draw(st.integers(2, 4))
+    vars = tuple(f"x{i}" for i in range(n))
+    gens = []
+    for _ in range(draw(st.integers(1, n + 1))):
+        deg = draw(st.integers(1, 3))
+        monos = [tuple(picks.count(i) for i in range(n))
+                 for picks in combinations_with_replacement(range(n), deg)]
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1,
+                               max_size=3, unique=True))
+        coeffs = draw(st.lists(st.integers(-3, 3).filter(bool),
+                               min_size=len(chosen), max_size=len(chosen)))
+        gens.append(Polynomial(vars, dict(zip(chosen, coeffs))))
+    transform = draw(st.sampled_from([None, transform_embed,
+                                      transform_product]))
+    return transform(gens) if transform else gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_homogeneous_cones())
+def test_fired_certificate_means_s_zero(gens):
+    cone, n, d = _cone_n_d(gens)
+    if not singular._m_primary(list(cone.generators), n, n - d):
+        return
+    with mock.patch.object(singular, "_m_primary", lambda *_: False):
+        exact = singular_dimension(cone, n, d)
+    assert (exact.s, exact.empty) == (0, False)
