@@ -22,12 +22,13 @@ class GermEmptyError(Exception):
 
 @dataclass
 class GroebnerBasis:
+    """A Groebner basis as buchberger built it: monic, not reduced."""
     order: object
     basis: list
     reductions: int = 0
 
     def is_unit_ideal(self):
-        return len(self.basis) == 1 and self.basis[0].is_constant()
+        return any(g.is_constant() for g in self.basis)
 
 
 @dataclass
@@ -74,9 +75,11 @@ def _chain_skip(i, j, lcm_ij, basis, pending):
 
 
 def buchberger(gens, order, budget=PAIR_BUDGET):
-    """Reduced Groebner basis of the given generators under order."""
-    assert gens, "empty generator list"
-    assert all(not g.is_zero() for g in gens), "zero generator"
+    """A Groebner basis as built, not reduced: generators, then remainders."""
+    if not gens:
+        raise ValueError("empty generator list")
+    if any(g.is_zero() for g in gens):
+        raise ValueError("a generator is 0; drop it before the run")
     # dict keys dedup by hash and keep first-seen order
     basis = list(dict.fromkeys(g.with_order(order).monic() for g in gens))
     # Pairs are taken from a heap in (lcm order, i, j) order, each key
@@ -113,7 +116,7 @@ def buchberger(gens, order, budget=PAIR_BUDGET):
             basis.append(r.monic())
             add_pairs(len(basis) - 1)
 
-    return GroebnerBasis(order, _interreduce(basis, order), reductions)
+    return GroebnerBasis(order, basis, reductions)
 
 
 def _minimalize(basis, order):
@@ -127,21 +130,17 @@ def _minimalize(basis, order):
 
 
 def _interreduce(basis, order):
-    """The reduced basis of a Groebner basis, in ascending leading monomials."""
+    """The reduced basis of a Groebner basis, in ascending leading monomials.
+
+    One sweep over the minimal basis suffices: no step changes a leading
+    monomial, so an element reduced against the others stays reduced
+    (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, 2.7, Thm 5).
+    """
     basis = _minimalize(basis, order)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1:]
-            if not others:
-                continue
-            _, r = divide(basis[i], others, order)
-            assert not r.is_zero(), "minimal basis element reduced away"
-            r = r.monic()
-            if r != basis[i]:
-                basis[i] = r
-                changed = True
+    for i in range(len(basis)):
+        _, r = divide(basis[i], basis[:i] + basis[i + 1:], order)
+        assert not r.is_zero(), "minimal basis element reduced away"
+        basis[i] = r.monic()
     return basis
 
 

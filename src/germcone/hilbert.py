@@ -98,9 +98,9 @@ def _binom_coeffs(i, d):
 
 def hilbert_series(monomial_gens, n):
     """Exact Hilbert data of R/(monomial ideal) in n variables."""
-    assert n >= 1
     gens = _minimal([tuple(m) for m in monomial_gens])
-    assert all(len(m) == n for m in gens), "wrong exponent length"
+    if n < 1 or any(len(m) != n for m in gens):
+        raise ValueError(f"need n >= 1 and n exponents per monomial, n = {n}")
     h = _numerator(gens, n, {})
 
     if all(c == 0 for c in h):

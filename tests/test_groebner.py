@@ -16,8 +16,8 @@ from hypothesis import assume, given, settings, strategies as st
 from germcone import groebner
 from germcone.families import family_linear_union
 from germcone.groebner import (
-    GermEmptyError, GroebnerBasis, ResourceLimitExceeded, buchberger,
-    homogenize, spoly, tangent_cone)
+    GermEmptyError, GroebnerBasis, ResourceLimitExceeded, _interreduce,
+    buchberger, homogenize, spoly, tangent_cone)
 from germcone.hilbert import hilbert_function, hilbert_series, leading_ideal
 from germcone.parser import parse_ideal
 from germcone.polyring import (GRADED_FIRST, GREVLEX, LEX, Polynomial, divide,
@@ -121,13 +121,13 @@ def test_spoly_certificate(gens):
 
 def test_lex_worked_example():
     gb = buchberger([X * Y - 1, Y ** 2 - 1], LEX)
-    assert set(gb.basis) == {Y ** 2 - 1, X - Y}
+    assert set(_interreduce(gb.basis, LEX)) == {Y ** 2 - 1, X - Y}
 
 
 def test_basis_is_monic_and_autoreduced():
-    gb = buchberger(TEST_IDEALS[0], GREVLEX)
-    lead = [g.leading_monomial() for g in gb.basis]
-    for g in gb.basis:
+    basis = _interreduce(buchberger(TEST_IDEALS[0], GREVLEX).basis, GREVLEX)
+    lead = [g.leading_monomial() for g in basis]
+    for g in basis:
         assert g.leading_coeff() == 1
         for mono, _ in g.terms:
             others = [lm for lm in lead if lm != g.leading_monomial()]
@@ -136,9 +136,11 @@ def test_basis_is_monic_and_autoreduced():
 
 
 def test_reduced_basis_is_fixed_point():
-    gb = buchberger(TEST_IDEALS[0], GREVLEX)
-    again = buchberger(gb.basis, GREVLEX)
-    assert set(again.basis) == set(gb.basis)
+    def reduced(gens):
+        return _interreduce(buchberger(gens, GREVLEX).basis, GREVLEX)
+
+    basis = reduced(TEST_IDEALS[0])
+    assert set(reduced(basis)) == set(basis)
 
 
 def test_principal_ideal():
@@ -150,6 +152,13 @@ def test_principal_ideal():
 def test_unit_ideal_detection():
     gb = buchberger([X, X + 1], GREVLEX)
     assert gb.is_unit_ideal()
+
+
+@pytest.mark.parametrize("gens", [[], [X, Polynomial.zero(V3)]],
+                         ids=["empty", "zero-generator"])
+def test_malformed_buchberger_input_raises_value_error(gens):
+    with pytest.raises(ValueError):
+        buchberger(gens, GREVLEX)
 
 
 def test_budget_exhausts():
@@ -177,14 +186,15 @@ def test_pair_order_pins_the_work(make, work):
     # are reduced, so the count, the basis and the budget cut-off stay put
     gens, order = make()
     gb = buchberger(gens, order)
-    assert (gb.reductions, len(gb.basis)) == work
+    assert (gb.reductions, len(_interreduce(gb.basis, order))) == work
     with pytest.raises(ResourceLimitExceeded):
         buchberger(gens, order, budget=work[0] - 1)
 
 
 def test_divide_hook_counts_every_reduction(monkeypatch):
     # the benchmark wraps groebner.divide and reports progress in its calls:
-    # one per S-pair reduction, then one per element per interreduce pass
+    # one per S-pair reduction in buchberger, and one per cone generator
+    # in the single interreduce sweep of tangent_cone
     calls, inside = [], []
     divide_, interreduce_ = groebner.divide, groebner._interreduce
 
@@ -201,12 +211,18 @@ def test_divide_hook_counts_every_reduction(monkeypatch):
     monkeypatch.setattr(groebner, "divide", counted_divide)
     monkeypatch.setattr(groebner, "_interreduce", counted_interreduce)
     gb = buchberger(*_worked_cone_run())
-    assert inside == [2 * len(gb.basis)]    # one pass changes, one confirms
-    assert len(calls) == gb.reductions + sum(inside) == 27 + 30
+    assert inside == []
+    assert len(calls) == gb.reductions == 27
+    del calls[:]
+    cone = tangent_cone(parse_ideal(WORKED).generators)
+    assert inside == [len(cone.generators)] == [5]
+    assert len(calls) == 27 + 5
 
 
-def test_agrees_with_sympy():
-    syms = sp.symbols("x y z")
+def sympy_reduced_grevlex(gens):
+    """sympy's reduced grevlex basis of gens, as a set of monic Polynomials."""
+    vars = gens[0].vars
+    syms = sp.symbols(vars)
 
     def to_sympy(p):
         return sum(sp.Rational(c.numerator, c.denominator)
@@ -216,12 +232,16 @@ def test_agrees_with_sympy():
     def from_sympy(e):
         poly = sp.Poly(e, *syms)
         d = {m: Fraction(c.p, c.q) for m, c in zip(poly.monoms(), poly.coeffs())}
-        return Polynomial(V3, d).monic()
+        return Polynomial(vars, d).monic()
 
+    ref = sp.groebner([to_sympy(g) for g in gens], *syms, order="grevlex")
+    return {from_sympy(e) for e in ref.exprs}
+
+
+def test_agrees_with_sympy():
     for gens in TEST_IDEALS[:3]:
-        mine = set(buchberger(gens, GREVLEX).basis)
-        ref = sp.groebner([to_sympy(g) for g in gens], *syms, order="grevlex")
-        assert mine == {from_sympy(e) for e in ref.exprs}
+        mine = set(_interreduce(buchberger(gens, GREVLEX).basis, GREVLEX))
+        assert mine == sympy_reduced_grevlex(gens)
 
 
 # --- spoly ---
@@ -273,7 +293,8 @@ def test_cone_generators_homogeneous_and_reduced():
         assert all(g.is_homogeneous() for g in cone.generators)
         gb = GroebnerBasis(GREVLEX, list(cone.generators))
         assert_spolys_reduce(gb)
-        assert buchberger(cone.generators, GREVLEX).basis == cone.generators
+        again = buchberger(cone.generators, GREVLEX).basis
+        assert _interreduce(again, GREVLEX) == cone.generators
 
 
 @pytest.mark.parametrize("gens", [parse_ideal(WORKED).generators,
@@ -293,15 +314,32 @@ def test_cone_is_one_groebner_run(gens, monkeypatch):
 
 
 @st.composite
-def germ_ideals(draw):
-    """1-3 generators vanishing at 0 in 2 or 3 variables, mostly non-homogeneous."""
+def germ_ideals(draw, at_origin=True):
+    """1-3 generators in 2 or 3 variables, mostly non-homogeneous.
+
+    With at_origin they vanish at 0; without it they may have constant terms.
+    """
     vars = V3[:draw(st.integers(2, 3))]
-    monomial = st.tuples(*(st.integers(0, 3) for _ in vars)).filter(any)
+    monomial = st.tuples(*(st.integers(0, 3) for _ in vars))
+    if at_origin:
+        monomial = monomial.filter(any)
     coeff = st.fractions(min_value=-4, max_value=4,
                          max_denominator=3).filter(lambda q: q != 0)
     terms = st.dictionaries(monomial, coeff, min_size=1, max_size=4)
     return [Polynomial(vars, d) for d in
             draw(st.lists(terms, min_size=1, max_size=3))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(germ_ideals(at_origin=False))
+def test_one_interreduce_sweep_gives_the_reduced_basis(gens):
+    # buchberger returns the basis as built; one sweep of _interreduce must
+    # turn it into the unique reduced basis that sympy computes
+    try:
+        gb = buchberger(gens, GREVLEX, budget=60)
+    except ResourceLimitExceeded:
+        assume(False)
+    assert set(_interreduce(gb.basis, GREVLEX)) == sympy_reduced_grevlex(gens)
 
 
 @settings(max_examples=150, deadline=None)
@@ -313,7 +351,8 @@ def test_initial_forms_need_no_second_run(gens):
         cone = tangent_cone(gens, budget=40)
     except ResourceLimitExceeded:
         assume(False)
-    assert buchberger(cone.generators, GREVLEX).basis == cone.generators
+    again = buchberger(cone.generators, GREVLEX).basis
+    assert _interreduce(again, GREVLEX) == cone.generators
 
 
 @st.composite

@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import pytest
+
 from germcone.hilbert import (
     germ_multiplicity, hilbert_function, hilbert_series, leading_ideal)
 from germcone.groebner import buchberger, tangent_cone
@@ -77,6 +79,13 @@ def test_full_ring():
     assert data.dim_affine == 3
     assert data.degree == 1
     assert hilbert_function(data.numerator, 3, 4) == 15
+
+
+@pytest.mark.parametrize("gens, n", [([], 0), ([(1, 0), (0, 1, 2)], 2)],
+                         ids=["no-variables", "wrong-exponent-length"])
+def test_malformed_input_raises_value_error(gens, n):
+    with pytest.raises(ValueError):
+        hilbert_series(gens, n)
 
 
 def test_unit_ideal():
