@@ -186,7 +186,7 @@ def tangent_cone(gens, budget=PAIR_BUDGET):
     gb = buchberger(lifted, GRADED_FIRST, budget)
 
     inits = []
-    for g in gb.basis:
+    for g in _minimalize(gb.basis, GRADED_FIRST):
         flat = g.substitute({w: 1}).with_order(GREVLEX)
         init = initial_part(flat).init
         if init.min_degree() == 0:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 import json
 
-from .polyring import GREVLEX, Polynomial
+from .polyring import GREVLEX, Polynomial, m_deg
 
 
 class ParseError(Exception):
@@ -31,6 +31,7 @@ class IdealFile:
 
 _PUNCT = set("+-*^(),;")
 MAX_NESTING = 100    # levels of '(' and unary '-'; each costs recursion frames
+MAX_DEGREE = 10 ** 4  # total degree of a power or product; constants are free
 
 
 def _tokenize(text):
@@ -166,16 +167,25 @@ class _Parser:
 
     def parse_term(self):
         acc = self.parse_factor()
+        degree = _degree(acc)
         while self.at_punct("*"):
-            self.next()
-            acc = acc * self.parse_factor()
+            star = self.next()
+            factor = self.parse_factor()
+            degree += _degree(factor)
+            if degree > MAX_DEGREE:
+                raise _too_high(degree, star)
+            acc = acc * factor
         return acc
 
     def parse_factor(self):
         base = self.parse_base()
         if self.at_punct("^"):
-            self.next()
-            return base ** self.expect_nat()
+            caret = self.next()
+            e = self.expect_nat()
+            degree = _degree(base) * e
+            if degree > MAX_DEGREE:
+                raise _too_high(degree, caret)
+            return base ** e
         return base
 
     def parse_base(self):
@@ -209,6 +219,19 @@ class _Parser:
             self.depth -= 1
             return inner
         self.fail("expected variable, number, '(' or '-'")
+
+
+def _degree(p):
+    """Total degree of a parsed polynomial, read off its grevlex leading term.
+
+    The zero polynomial counts as a constant: degree 0.
+    """
+    return m_deg(p.terms[0][0]) if p.terms else 0
+
+
+def _too_high(degree, token):
+    """The error for a power or product past MAX_DEGREE, at its operator."""
+    return ParseError(f"degree {degree} exceeds {MAX_DEGREE}", token[2], token[3])
 
 
 def _fold_sum(vars, summands):

@@ -110,6 +110,16 @@ def test_analyze_k_range_flag(worked_file, capsys):
     assert report["flags"]["k_range"] == "2..2"
 
 
+def test_analyze_high_exponent_monomial(tmp_path, capsys):
+    # the Hilbert recursion splits at x^500 and y^500, not 500 times at x
+    ideal = tmp_path / "mono.ideal"
+    ideal.write_text("vars x, y;\nx^500*y^500;\n")
+    assert main(["analyze", str(ideal)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["dimension_d"], report["multiplicity_mu"],
+            report["singular_dimension_s"]) == (1, 1000, 1)
+
+
 def test_analyze_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.ideal"
     bad.write_text("vars x;\nx + ;\n")
@@ -233,6 +243,8 @@ def test_betti0_rejects_bad_box(circle_file):
     ["betti0", "CIRCLE", "--box=-2,2,-2,2", "--csv", "NODIR"],
     ["analyze", "PARENS400"],                               # nested too deep
     ["analyze", "MINUS2000"],
+    ["analyze", "POWER"],                                   # degree past cap
+    ["analyze", "BINOMIAL"],
     ["betti0", "BIG", "--box=-1,1,-1,1"],                   # 10^400 past float
     ["betti0", "CIRCLE", "--box=-1e308,1e308,-2,2", "--res", "1e308"],
     ["betti0", "CIRCLE", "--box=-1e308,1e308,-2,2"],       # width past float
@@ -249,8 +261,13 @@ def test_out_of_range_arguments_exit_2(argv, circle_file, tmp_path, capsys):
     minus.write_text("vars x;\n" + "-" * 2000 + "x;\n")
     big = tmp_path / "big.ideal"
     big.write_text("vars x, y;\n10^400*x^2 + y^2 - 1;\n")
+    power = tmp_path / "power.ideal"
+    power.write_text("vars x;\nx^99999999999;\n")
+    binomial = tmp_path / "binomial.ideal"
+    binomial.write_text("vars x, y;\n(x+y)^99999999999;\n")
     files = {"CIRCLE": circle_file, "CONE": str(cone), "X700": str(wide),
              "PARENS400": str(parens), "MINUS2000": str(minus), "BIG": str(big),
+             "POWER": str(power), "BINOMIAL": str(binomial),
              "MISSING": str(tmp_path / "missing.ideal"),
              "NODIR": str(tmp_path / "no" / "such" / "dir" / "out")}
     assert main([files.get(a, a) for a in argv]) == 2

@@ -5,8 +5,8 @@ each degree and strikes the ones a generator divides.
 """
 
 import random
-from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -48,28 +48,30 @@ def test_against_brute_force_200_ideals():
                 (gens, nvars, t)
 
 
-def test_hilbert_polynomial_matches_function_eventually():
-    rng = random.Random(7)
-    for _ in range(60):
-        gens, nvars = random_monomial_ideal(rng)
-        data = hilbert_series(gens, nvars)
-        hp = data.hilbert_polynomial
-        start = max(len(data.numerator) - nvars + 1, 0)
-        for t in range(start, start + 4):
-            value = sum(c * Fraction(t) ** i for i, c in enumerate(hp))
-            assert value == hilbert_function(data.numerator, nvars, t)
-
-
-def test_dimension_is_polynomial_degree_plus_one():
-    rng = random.Random(99)
-    for _ in range(60):
-        gens, nvars = random_monomial_ideal(rng)
-        data = hilbert_series(gens, nvars)
-        nonzero = [i for i, c in enumerate(data.hilbert_polynomial) if c]
-        if data.dim_affine <= 0:
-            assert not nonzero
-        else:
-            assert max(nonzero) == data.dim_affine - 1
+def test_dimension_and_multiplicity_match_brute_force_counts():
+    # the count is a polynomial of degree d - 1 and leading coefficient
+    # mu / (d - 1)! once t passes the numerator's top degree; for d = 0 it
+    # vanishes there and the counts add up to mu
+    for seed in (7, 99):
+        rng = random.Random(seed)
+        for _ in range(60):
+            gens, nvars = random_monomial_ideal(rng)
+            data = hilbert_series(gens, nvars)
+            d, mu = data.dim_affine, data.degree
+            if d < 0:
+                assert (mu, standard_monomial_count(gens, nvars, 0)) == (0, 0)
+                continue
+            top = data.numerator[-1][0]
+            counts = [standard_monomial_count(gens, nvars, t)
+                      for t in range(top + d + 1)]
+            if d == 0:
+                assert sum(counts) == mu, (gens, nvars)
+                continue
+            past = counts[top:]
+            for k, want in ((d - 1, mu), (d, 0)):
+                diff = sum((-1) ** (k - j) * comb(k, j) * past[j]
+                           for j in range(k + 1))
+                assert diff == want, (gens, nvars, k)
 
 
 # --- pinned small cases ---
@@ -113,6 +115,12 @@ def test_double_plane_in_space():
 def test_fat_point():
     data = hilbert_series([(2, 0), (1, 1), (0, 2)], 2)
     assert (data.dim_affine, data.degree) == (0, 3)
+
+
+def test_pivot_powers_keep_the_recursion_shallow():
+    # x^499*y^500, x^500*y^499 split at x^499 and y^499, not at x and y
+    data = hilbert_series([(499, 500), (500, 499)], 2)
+    assert (data.dim_affine, data.degree) == (1, 998)
 
 
 def test_two_lines_with_multiplicity():

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from germcone.parser import (MAX_NESTING, IdealFile, ParseError, format_ideal,
-                             parse_ideal)
+from germcone.parser import (MAX_DEGREE, MAX_NESTING, IdealFile, ParseError,
+                             format_ideal, parse_ideal)
 from germcone.polyring import MonomialOrder, Polynomial
 
 WORKED = """\
@@ -121,6 +121,10 @@ def test_zero_exponent():
      + ";\n", 2, MAX_NESTING + 1, "nested more than"),
     ("vars x;\n" + "-" * (MAX_NESTING + 1) + "x;\n", 2, MAX_NESTING + 1,
      "nested more than"),
+    ("vars x;\nx^99999999999;\n", 2, 2, f"exceeds {MAX_DEGREE}"),
+    ("vars x, y;\n(x+y)^99999999999;\n", 2, 6, f"exceeds {MAX_DEGREE}"),
+    (f"vars x, y;\nx^{MAX_DEGREE // 2}*y^{MAX_DEGREE // 2 + 1};\n", 2, 7,
+     f"degree {MAX_DEGREE + 1} exceeds"),
 ])
 def test_error_positions(text, line, col, fragment):
     with pytest.raises(ParseError) as exc:
@@ -138,6 +142,16 @@ def test_nesting_up_to_the_limit_parses():
     assert parse_ideal(f"vars x;\n{fifty};\n").generators[0] == -x
     deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
     assert parse_ideal(f"vars x;\n{deepest};\n").generators[0] == x
+
+
+def test_degree_up_to_the_limit_parses():
+    x = Polynomial.variable(("x", "y"), "x")
+    y = Polynomial.variable(("x", "y"), "y")
+    half = MAX_DEGREE // 2
+    f, g, h = parse_ideal(f"vars x, y;\nx^{MAX_DEGREE};\nx^{half}*y^{half};\n"
+                          f"10^400*x^{MAX_DEGREE};\n").generators
+    assert f == x ** MAX_DEGREE and f.degree() == MAX_DEGREE
+    assert g.degree() == MAX_DEGREE and h.degree() == MAX_DEGREE
 
 
 def test_star_is_mandatory():
