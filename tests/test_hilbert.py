@@ -48,30 +48,52 @@ def test_against_brute_force_200_ideals():
                 (gens, nvars, t)
 
 
-def test_dimension_and_multiplicity_match_brute_force_counts():
-    # the count is a polynomial of degree d - 1 and leading coefficient
-    # mu / (d - 1)! once t passes the numerator's top degree; for d = 0 it
-    # vanishes there and the counts add up to mu
+def seeded_series():
     for seed in (7, 99):
         rng = random.Random(seed)
         for _ in range(60):
             gens, nvars = random_monomial_ideal(rng)
-            data = hilbert_series(gens, nvars)
-            d, mu = data.dim_affine, data.degree
-            if d < 0:
-                assert (mu, standard_monomial_count(gens, nvars, 0)) == (0, 0)
-                continue
-            top = data.numerator[-1][0]
+            yield gens, nvars, hilbert_series(gens, nvars)
+
+
+def finite_difference(values, k):
+    return sum((-1) ** (k - j) * comb(k, j) * values[j] for j in range(k + 1))
+
+
+def test_hilbert_polynomial_matches_function_eventually():
+    # from the numerator's top degree on, the count is a polynomial of
+    # degree below d: its d-th finite difference vanishes (for d = 0 the
+    # count itself does)
+    for gens, nvars, data in seeded_series():
+        d = data.dim_affine
+        if d < 0:
+            continue
+        top = data.numerator[-1][0]
+        counts = [standard_monomial_count(gens, nvars, t)
+                  for t in range(top, top + d + 4)]
+        for s in range(4):
+            assert finite_difference(counts[s:], d) == 0, (gens, nvars, s)
+
+
+def test_dimension_is_polynomial_degree_plus_one():
+    # that polynomial has degree exactly d - 1 and leading coefficient
+    # mu / (d - 1)!, so its (d - 1)-th finite difference is mu; for d = 0 the
+    # counts add up to mu, and d < 0 only for the unit ideal
+    for gens, nvars, data in seeded_series():
+        d, mu = data.dim_affine, data.degree
+        if d < 0:
+            assert (mu, standard_monomial_count(gens, nvars, 0)) == (0, 0)
+            continue
+        assert mu > 0, (gens, nvars)
+        top = data.numerator[-1][0]
+        if d == 0:
             counts = [standard_monomial_count(gens, nvars, t)
-                      for t in range(top + d + 1)]
-            if d == 0:
-                assert sum(counts) == mu, (gens, nvars)
-                continue
-            past = counts[top:]
-            for k, want in ((d - 1, mu), (d, 0)):
-                diff = sum((-1) ** (k - j) * comb(k, j) * past[j]
-                           for j in range(k + 1))
-                assert diff == want, (gens, nvars, k)
+                      for t in range(top + 1)]
+            assert sum(counts) == mu, (gens, nvars)
+            continue
+        counts = [standard_monomial_count(gens, nvars, t)
+                  for t in range(top, top + d)]
+        assert finite_difference(counts, d - 1) == mu, (gens, nvars)
 
 
 # --- pinned small cases ---
