@@ -53,14 +53,16 @@ def betti_sum_bound(mu, k, case):
 
 def op_bound(degrees, n, l):
     """Degree-based section bound (sum of input degrees, ambient n, section l)."""
-    assert 0 <= l < n
+    if not 0 <= l < n:
+        raise ValueError(f"section dimension l={l} outside [0, {n - 1}]")
     total = sum(degrees)
     return (total + 1) * (2 * total + 1) ** (n - l - 1)
 
 
 def sigma_bound(mu, n, d, s, l, pure_dim, exponent="default"):
     """Bound for the l-th polar invariant; UNBOUNDED when hypotheses fail."""
-    assert 1 <= l <= n
+    if not 1 <= l <= n:
+        raise ValueError(f"l={l} outside [1, {n}]")
     assert exponent in ("default", "paper-display")
     if l > d:
         return 0
@@ -79,7 +81,8 @@ def lipschitz_killing_bound(mu, n, d, s, k, M, pure_dim=True, exponent="default"
     hypothesis (the diagonal term alone), smaller k inherits sigma's.
     Raises ValueError when the sum leaves float range.
     """
-    assert 1 <= k <= d, f"k={k} outside [1, d={d}]"
+    if not 1 <= k <= d:
+        raise ValueError(f"k={k} outside [1, d={d}]")
     try:
         total = M.entries[k - 1][d - 1] * mu
         for l in range(k, d):

@@ -32,6 +32,7 @@ class IdealFile:
 _PUNCT = set("+-*^(),;")
 MAX_NESTING = 100    # levels of '(' and unary '-'; each costs recursion frames
 MAX_DEGREE = 10 ** 4  # total degree of a power or product; constants are free
+MAX_TERMS = 10 ** 5   # bound on the terms of a power or product
 
 
 def _tokenize(text):
@@ -174,6 +175,8 @@ class _Parser:
             degree += _degree(factor)
             if degree > MAX_DEGREE:
                 raise _too_high(degree, star)
+            if len(acc.terms) * len(factor.terms) > MAX_TERMS:
+                raise _too_many(star)
             acc = acc * factor
         return acc
 
@@ -185,6 +188,8 @@ class _Parser:
             degree = _degree(base) * e
             if degree > MAX_DEGREE:
                 raise _too_high(degree, caret)
+            if _power_terms(len(base.terms), e) > MAX_TERMS:
+                raise _too_many(caret)
             return base ** e
         return base
 
@@ -232,6 +237,26 @@ def _degree(p):
 def _too_high(degree, token):
     """The error for a power or product past MAX_DEGREE, at its operator."""
     return ParseError(f"degree {degree} exceeds {MAX_DEGREE}", token[2], token[3])
+
+
+def _power_terms(k, e):
+    """C(e + k - 1, k - 1), the most terms a k-term base to the e can have,
+    built up only until it passes MAX_TERMS.
+
+    Each C(e + k - 1, i) with i <= min(e, k - 1) is at least 2^i, so this
+    takes at most 17 steps.
+    """
+    bound = 1
+    for i in range(1, min(e, k - 1) + 1):
+        if bound > MAX_TERMS:
+            break
+        bound = bound * (e + k - i) // i
+    return bound
+
+
+def _too_many(token):
+    """The error for a power or product past MAX_TERMS, at its operator."""
+    return ParseError(f"more than {MAX_TERMS} terms", token[2], token[3])
 
 
 def _fold_sum(vars, summands):

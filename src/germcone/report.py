@@ -27,8 +27,7 @@ def build_report(ideal, k_range=None, lk_exponent="default",
     cone = tangent_cone(gens, budget)
     hd = hilbert_series(leading_ideal(cone.generators), n)
     d, mu = hd.dim_affine, hd.degree
-    sing = singular_dimension(cone, n, d, budget=budget)
-    s = sing.s
+    s = singular_dimension(cone, n, d, budget=budget)
 
     pure_flag = assume_pure_dimensional or ideal.assume_pure_dimensional
     if len(gens) == 1:

@@ -1,23 +1,16 @@
 """Jacobian-criterion singular locus of the tangent cone and its dimension."""
 
 import random
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .groebner import GREVLEX, PAIR_BUDGET, ResourceLimitExceeded, buchberger
 from .hilbert import hilbert_series, leading_ideal
-from .polyring import m_deg, m_mul
+from .polyring import m_deg, m_div, m_divides, m_mul
 
 MINOR_CAP = 10 ** 5
 P = 2 ** 31 - 1     # the certificate's prime, fixed so that runs repeat
 CERT_MAX_C = 3      # a dense c x c cofactor expansion costs c! products
-
-
-@dataclass
-class SingularLocusData:
-    s: int                 # affine dimension over the closure, -1 when empty
-    empty: bool
 
 
 def _det(rows):
@@ -130,9 +123,9 @@ def _draw(rng, reduced, n, c):
 
 
 def _too_wide(D, n):
-    """Whether degree D's table of N rows of N residues, N = C(D+n-1, n-1),
-    would hold more than ten times the MINOR_CAP entries."""
-    return comb(D + n - 1, n - 1) ** 2 > 10 * MINOR_CAP
+    """Whether degree D's normal-form table of N rows of at most N residues,
+    N = C(D+n-1, n-1), could hold more than 10^6 entries."""
+    return comb(D + n - 1, n - 1) ** 2 > 10 ** 6
 
 
 def _monomials(n, D):
@@ -142,6 +135,37 @@ def _monomials(n, D):
         for i in picks:
             e[i] += 1
         yield tuple(e)
+
+
+def _normal_forms(reduced, n, D):
+    """The normal form mod P of every degree-D monomial, over the standard ones.
+
+    Walks the degree-D monomials in ascending grevlex order.  One that no
+    leading monomial divides is standard and its own normal form, with the
+    next column.  Any other is x^b lm(g), whose normal form is
+    -sum (t / lc g) NF(x^b t) over the tail terms t of g; each x^b t is
+    smaller, so already in the table.  lm and lc are those of the residues
+    mod P, and a generator that vanishes mod P is left out.  Returns the
+    table, {monomial: {column: residue}}, and the number of columns.
+    """
+    tails = []
+    for g in filter(None, reduced):
+        lm = max(g, key=GREVLEX.key)
+        inv = pow(g[lm], -1, P)
+        tails.append((lm, [(t, -v * inv % P) for t, v in g.items() if t != lm]))
+    table, width = {}, 0
+    for m in sorted(_monomials(n, D), key=GREVLEX.key):
+        for lm, tail in tails:
+            if m_divides(lm, m):
+                b, nf = m_div(m, lm), {}
+                for t, a in tail:
+                    for j, v in table[m_mul(b, t)].items():
+                        nf[j] = nf.get(j, 0) + a * v
+                table[m] = {j: r for j, v in nf.items() if (r := v % P)}
+                break
+        else:
+            table[m], width = {width: 1}, width + 1
+    return table, width
 
 
 def _insert(pivots, row):
@@ -166,30 +190,44 @@ def _m_primary(gens, n, c):
     """True when, mod P, one degree D of the ideal (gens, c x c minors) is full.
 
     D is the lowest degree of the first seeded Cauchy-Binet combination
-    det(A J B).  Degree D's echelon starts from every monomial multiple
-    x^a g of degree D of a generator g, then takes the degree-D component
-    of each draw until one adds no rank.  Its rows are dense lists over the
-    degree-D monomials, each reduced in one forward sweep, and each draw's
-    matrix is c combinations of the generators differentiated along c
-    directions.  False means only that this test did not settle the
-    question.  It declines inputs over MINOR_CAP, which jacobian_minors
-    refuses; c > CERT_MAX_C, where the combinations are dense and their
-    cofactor expansion costs more than the sparse minors; inputs with few
-    generators and minors against the monomials of the lowest degree they
-    reach; and a degree D whose dense table would be too wide.
+    det(A J B): its matrix entries are the derivatives of c combinations of
+    the generators along c directions, so it is a combination of minors and,
+    the ideal being homogeneous, so is each of its homogeneous components.
+    The degree-D monomials get normal forms modulo the generators over the
+    standard ones (_normal_forms), and the degree-D part of each draw, put
+    in normal form, is one dense row over the standard monomials.  Draws are
+    ranked until one adds no rank; the test fires when the rank equals the
+    number of standard monomials.
+
+    It is sound whether or not gens is a Groebner basis.  Lift every mod-P
+    step to Z_(P): each x - NF(x), x not standard, is an element of the
+    ideal with a pivot at x, and each row is its draw minus multiples of the
+    generators.  Together they make an N x N matrix mod P, N = C(D+n-1, n-1),
+    that is block-triangular: the identity on the non-standard columns, and
+    the ranked rows on the standard ones.  A rank mod P never exceeds the
+    rank over Q, so a full rank proves m^D in the ideal over Q.  This holds
+    whichever generator the mod-P leading monomial picks.  The ideal is
+    homogeneous and not (1), so V is the origin and s = 0.  The draws
+    decide only whether this path is taken, never the value of s; False
+    means only that this test did not settle the question.
+
+    It declines c > CERT_MAX_C, where the combinations are dense and their
+    cofactor expansion costs more than the sparse minors; generators that
+    are not all homogeneous of degree >= 1, or c of them linear, when a
+    minor may be constant; inputs with few generators and minors against
+    the monomials of the lowest degree they reach; a coefficient whose
+    denominator P divides; and a degree D whose table would be too wide.
     """
     if not 1 <= c <= min(len(gens), n, CERT_MAX_C):
-        return False
-    if _minor_count(gens, n, c) > MINOR_CAP:
         return False
     if not all(g.is_homogeneous() and g.min_degree() >= 1 for g in gens):
         return False
     degs = sorted(g.degree() for g in gens)
     if degs[c - 1] == 1:                            # a minor may be constant
         return False
-    # A cost gate, not a bound on the rank, since multiples add rows too:
-    # with fewer generators and minors than the monomials of the lowest
-    # degree they reach, a full degree is too unlikely to pay for draws.
+    # A cost gate, not a bound on the rank: with fewer generators and minors
+    # than the monomials of the lowest degree they reach, a full degree is
+    # too unlikely to pay for a draw.
     low = sum(e - 1 for e in degs[:c])              # the lowest minor degree
     if len(gens) + _minor_count(gens, n, c) < comb(min(degs[0], low) + n - 1,
                                                   n - 1):
@@ -206,66 +244,34 @@ def _m_primary(gens, n, c):
     D = min(map(m_deg, draw))
     if _too_wide(D, n):
         return False
-    index = {m: i for i, m in enumerate(_monomials(n, D))}
+    table, width = _normal_forms(reduced, n, D)
     pivots = {}
-
-    def grows(f, shift):
-        """Inserts x^shift times f's degree-D part: whether the rank grew."""
-        row = [0] * len(index)
-        for m, v in f.items():
-            i = index.get(m_mul(m, shift))
-            if i is not None:
-                row[i] = v
-        return _insert(pivots, row)
-
-    multiples = ((g, a) for g, e in zip(reduced, (g.degree() for g in gens))
-                 if e <= D for a in _monomials(n, D - e))
-    if any(grows(g, a) and len(pivots) == len(index) for g, a in multiples):
-        return True
-    zero = (0,) * n
-    while grows(draw, zero):        # ends: the rank is at most len(index)
-        if len(pivots) == len(index):
-            return True
+    while True:
+        row = [0] * width
+        for m, v in draw.items():
+            for j, a in table.get(m, {}).items():
+                row[j] += v * a
+        if not _insert(pivots, [r % P for r in row]) or len(pivots) == width:
+            return len(pivots) == width     # the rank is at most width
         draw = _det(_draw(rng, reduced, n, c))
-    return False
 
 
 def singular_dimension(cone, n, d, budget=PAIR_BUDGET):
-    """Dimension of Sing of the cone scheme, via expected codimension n - d.
+    """Dimension s of Sing of the cone scheme, -1 when it is empty.
 
-    The singular ideal I is the cone's generators plus the c x c minors of
-    their Jacobian, c = n - d.  Before any minor is built over Q, an
-    m-primary certificate may settle s = 0.  It applies when c <= CERT_MAX_C,
-    the minors are within MINOR_CAP, the generators are homogeneous of
-    degree >= 1, fewer than c are linear (so every minor is homogeneous of
-    degree >= 1 and I is not (1)) and every coefficient reduces mod P.
-    It works in one degree D, the lowest of the first seeded Cauchy-Binet
-    combination det(A J B), and declines when that degree has too many
-    monomials for a dense table.  Its rows are the monomial multiples
-    x^a g of degree D of the generators, which lie in I, and the degree-D
-    components of seeded draws: each det(A J B) is a linear combination of
-    minors, its matrix entries being the derivatives of c combinations of
-    the generators along c directions, so it and, I being homogeneous, each
-    of its homogeneous components lie in I.  Each row is reduced mod P in
-    one forward sweep over the degree-D monomials.  Reducing p-integral
-    elements of I of degree D mod P can only lower their rank, since a
-    nonzero maximal minor mod P is nonzero over Q: if they reach rank
-    C(D+n-1, n-1) mod P, then m^D is in I over Q, V(I) is the origin and
-    s = 0.  The seeded draws decide only whether this path is taken, never
-    the value of s; when it does not fire, the exact path below runs
-    unchanged.
+    The singular ideal is the cone's generators plus the c x c minors of
+    their Jacobian, c = n - d, the expected codimension.  Before any minor
+    is built over Q, the m-primary certificate (_m_primary) may settle
+    s = 0; when it does not fire, the exact path runs unchanged.
     """
     gens = list(cone.generators)
     if not gens:
         raise ValueError("singular_dimension needs at least one cone generator")
     c = n - d
     if _m_primary(gens, n, c):
-        return SingularLocusData(0, False)
+        return 0
     minors = jacobian_minors(gens, c)
     if any(m.is_constant() for m in minors):
-        return SingularLocusData(-1, True)
+        return -1
     gb = buchberger(gens + minors, GREVLEX, budget)
-    if gb.is_unit_ideal():
-        return SingularLocusData(-1, True)
-    data = hilbert_series(leading_ideal(gb.basis), n)
-    return SingularLocusData(data.dim_affine, False)
+    return hilbert_series(leading_ideal(gb.basis), n).dim_affine  # -1 for (1)

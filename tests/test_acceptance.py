@@ -95,7 +95,7 @@ def test_criterion_2_hypersurface_cones():
                 if cone.generators != [z ** 2]:
                     failures.append(f"f(n={n},l={l}) cone is not [z^2]")
                 d, mu = germ_multiplicity([f])
-                s = singular_dimension(cone, n, d).s
+                s = singular_dimension(cone, n, d)
                 if mu != 2:
                     failures.append(f"f(n={n},l={l}) mu = {mu}, want 2")
                 if s != n - 1:
@@ -129,7 +129,7 @@ def test_criterion_3_case_logic():
     for l in (2, 3, 5):
         f = family_f(3, l)
         d, mu = germ_multiplicity([f])
-        s = singular_dimension(tangent_cone([f]), 3, d).s
+        s = singular_dimension(tangent_cone([f]), 3, d)
         got = classify(3, d, s, 2, True, source="hypersurface-auto")
         if got.case != "unbounded":
             failures.append(f"f(3,{l}) k=2 case {got.case}, want unbounded")
@@ -176,7 +176,7 @@ def test_criterion_5_transformations():
     def run(gens):
         n = len(gens[0].vars)
         d, mu = germ_multiplicity(gens)
-        s = singular_dimension(tangent_cone(gens), n, d).s
+        s = singular_dimension(tangent_cone(gens), n, d)
         return n, mu, s
 
     n, mu, s = run(transform_product(base))

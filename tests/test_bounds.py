@@ -98,7 +98,7 @@ def test_op_bound_baseline_ratio():
 
 
 def test_op_bound_range():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         op_bound([1], 2, 2)
 
 
@@ -129,9 +129,9 @@ def test_sigma_withholds_without_hypotheses():
 
 
 def test_sigma_range():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         sigma_bound(2, 3, 1, 0, 0, True)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         sigma_bound(2, 3, 1, 0, 4, True)
 
 
@@ -157,7 +157,7 @@ def test_lk_inherits_sigma_hypotheses():
 
 def test_lk_range():
     M = crofton_matrix(4)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         lipschitz_killing_bound(2, 4, 2, 0, 3, M)
 
 

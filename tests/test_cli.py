@@ -245,6 +245,8 @@ def test_betti0_rejects_bad_box(circle_file):
     ["analyze", "MINUS2000"],
     ["analyze", "POWER"],                                   # degree past cap
     ["analyze", "BINOMIAL"],
+    ["analyze", "PRODUCT"],                                 # terms past cap
+    ["analyze", "QUARTIC"],
     ["betti0", "BIG", "--box=-1,1,-1,1"],                   # 10^400 past float
     ["betti0", "CIRCLE", "--box=-1e308,1e308,-2,2", "--res", "1e308"],
     ["betti0", "CIRCLE", "--box=-1e308,1e308,-2,2"],       # width past float
@@ -265,9 +267,14 @@ def test_out_of_range_arguments_exit_2(argv, circle_file, tmp_path, capsys):
     power.write_text("vars x;\nx^99999999999;\n")
     binomial = tmp_path / "binomial.ideal"
     binomial.write_text("vars x, y;\n(x+y)^99999999999;\n")
+    product = tmp_path / "product.ideal"
+    product.write_text("vars x, y, z, w;\n(x+y+z+w)^30*(x+y+z+w)^30;\n")
+    quartic = tmp_path / "quartic.ideal"
+    quartic.write_text("vars x, y, z, w;\n(x+y+z+w)^200;\n")
     files = {"CIRCLE": circle_file, "CONE": str(cone), "X700": str(wide),
              "PARENS400": str(parens), "MINUS2000": str(minus), "BIG": str(big),
              "POWER": str(power), "BINOMIAL": str(binomial),
+             "PRODUCT": str(product), "QUARTIC": str(quartic),
              "MISSING": str(tmp_path / "missing.ideal"),
              "NODIR": str(tmp_path / "no" / "such" / "dir" / "out")}
     assert main([files.get(a, a) for a in argv]) == 2

@@ -19,7 +19,7 @@ def pipeline(gens):
     n = len(gens[0].vars)
     d, mu = germ_multiplicity(gens)
     cone = tangent_cone(gens)
-    s = singular_dimension(cone, n, d).s
+    s = singular_dimension(cone, n, d)
     return d, mu, s, cone
 
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from germcone.parser import (MAX_DEGREE, MAX_NESTING, IdealFile, ParseError,
-                             format_ideal, parse_ideal)
+from germcone.parser import (MAX_DEGREE, MAX_NESTING, MAX_TERMS, IdealFile,
+                             ParseError, format_ideal, parse_ideal)
 from germcone.polyring import MonomialOrder, Polynomial
 
 WORKED = """\
@@ -125,6 +125,9 @@ def test_zero_exponent():
     ("vars x, y;\n(x+y)^99999999999;\n", 2, 6, f"exceeds {MAX_DEGREE}"),
     (f"vars x, y;\nx^{MAX_DEGREE // 2}*y^{MAX_DEGREE // 2 + 1};\n", 2, 7,
      f"degree {MAX_DEGREE + 1} exceeds"),
+    ("vars x, y, z, w;\n(x+y+z+w)^30*(x+y+z+w)^30;\n", 2, 13,
+     f"more than {MAX_TERMS} terms"),
+    ("vars x, y, z, w;\n(x+y+z+w)^200;\n", 2, 10, f"more than {MAX_TERMS} terms"),
 ])
 def test_error_positions(text, line, col, fragment):
     with pytest.raises(ParseError) as exc:
@@ -152,6 +155,12 @@ def test_degree_up_to_the_limit_parses():
                           f"10^400*x^{MAX_DEGREE};\n").generators
     assert f == x ** MAX_DEGREE and f.degree() == MAX_DEGREE
     assert g.degree() == MAX_DEGREE and h.degree() == MAX_DEGREE
+
+
+def test_terms_below_the_limit_parse():
+    # C(33, 3) = 5456 terms, the bound the power is checked against
+    f, = parse_ideal("vars x, y, z;\n(x+y+z+1)^30;\n").generators
+    assert len(f.terms) == 5456
 
 
 def test_star_is_mandatory():

@@ -8,14 +8,15 @@ from math import comb
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from germcone import singular
 from germcone.cli import main
 from germcone.families import (family_g, family_linear_union, transform_embed,
                                transform_product)
-from germcone.groebner import ResourceLimitExceeded, TangentConeIdeal, tangent_cone
-from germcone.hilbert import hilbert_series, leading_ideal
+from germcone.groebner import (GREVLEX, ResourceLimitExceeded, TangentConeIdeal,
+                               buchberger, tangent_cone)
+from germcone.hilbert import hilbert_function, hilbert_series, leading_ideal
 from germcone.parser import IdealFile, format_ideal, parse_ideal
 from germcone.polyring import Polynomial
 from germcone.singular import MINOR_CAP, P, jacobian_minors, singular_dimension
@@ -72,26 +73,20 @@ def test_minor_cap():
 
 def test_double_plane_is_singular_everywhere():
     cone = TangentConeIdeal(vars=V3, generators=[Z ** 2])
-    data = singular_dimension(cone, 3, 2)
-    assert data.s == 2
-    assert not data.empty
+    assert singular_dimension(cone, 3, 2) == 2
 
 
 def test_smooth_line_in_plane():
     V = ("x", "y")
     x = Polynomial.variable(V, "x")
     cone = TangentConeIdeal(vars=V, generators=[x])
-    data = singular_dimension(cone, 2, 1)
-    assert data.empty
-    assert data.s == -1
+    assert singular_dimension(cone, 2, 1) == -1
 
 
 def test_smooth_quadric_cone_vertex():
     # x^2 + y^2 - z^2: singular exactly at the vertex
     cone = TangentConeIdeal(vars=V3, generators=[X ** 2 + Y ** 2 - Z ** 2])
-    data = singular_dimension(cone, 3, 2)
-    assert data.s == 0
-    assert not data.empty
+    assert singular_dimension(cone, 3, 2) == 0
 
 
 def test_empty_cone_is_a_value_error():
@@ -106,8 +101,7 @@ def test_worked_example_singular_dimension():
         "y*(y - z^3)*(y - 2*z^2);\n"
         "(x + y)*(x + y - z^3);\n").generators
     cone = cone_of(gens)
-    data = singular_dimension(cone, 3, 1)
-    assert data.s == 1
+    assert singular_dimension(cone, 3, 1) == 1
 
 
 def test_variable_permutation_invariance():
@@ -119,15 +113,14 @@ def test_variable_permutation_invariance():
     for perm in [(1, 2, 0), (2, 1, 0), (0, 2, 1)]:
         gens = [permuted(g, perm) for g in base]
         cone = TangentConeIdeal(vars=V3, generators=gens)
-        assert singular_dimension(cone, 3, 2).s == 0
+        assert singular_dimension(cone, 3, 2) == 0
 
 
 def test_union_of_two_planes():
     # z*(z - x): singular along the plane intersection, a line... but the
     # Jacobian vanishes on {2z = x} intersected with the cone: the line z=0=x
     cone = cone_of([Z * (Z - X)])
-    data = singular_dimension(cone, 3, 2)
-    assert data.s == 1
+    assert singular_dimension(cone, 3, 2) == 1
 
 
 # --- the m-primary certificate ahead of the exact path ---
@@ -151,8 +144,8 @@ def _cone_n_d(gens):
 
 
 # An optional fifth entry is a transform applied to the union's generators;
-# the embedded unions carry a linear generator, whose degree-D multiples
-# the certificate needs.
+# the embedded unions carry a linear generator, whose leading variable
+# leaves standard only the degree-D monomials free of it.
 @pytest.mark.parametrize("args", [(3, 2, 2, 2), (4, 3, 3, 1), (4, 3, 3, 2),
                                   (5, 3, 3, 1), (4, 3, 3, 2, transform_embed),
                                   (5, 3, 3, 1, transform_embed)])
@@ -167,8 +160,7 @@ def test_certificate_agrees_with_exact_path(args, monkeypatch):
     monkeypatch.setattr(singular, "_m_primary", lambda *_: False)
     exact = singular_dimension(cone, n, d)
     assert calls
-    assert fast == exact
-    assert fast.s == 0
+    assert fast == exact == 0
 
 
 @pytest.mark.parametrize("gens", [
@@ -181,7 +173,7 @@ def test_certificate_agrees_with_exact_path(args, monkeypatch):
 def test_non_filling_germs_still_run_buchberger(gens, monkeypatch):
     cone, n, d = _cone_n_d(gens)
     calls = _counting_buchberger(monkeypatch)
-    assert singular_dimension(cone, n, d).s >= 1
+    assert singular_dimension(cone, n, d) >= 1
     assert calls
 
 
@@ -190,9 +182,20 @@ def test_denominator_divisible_by_p_falls_back(den, fires, monkeypatch):
     f = X ** 2 + Y ** 2 - Fraction(1, den) * Z ** 2
     cone = TangentConeIdeal(vars=V3, generators=[f])
     calls = _counting_buchberger(monkeypatch)
-    data = singular_dimension(cone, 3, 2)
+    assert singular_dimension(cone, 3, 2) == 0
     assert bool(calls) is not fires
-    assert (data.s, data.empty) == (0, False)
+
+
+@pytest.mark.parametrize("c, fires", [(1, True), (2, False), (3, False)])
+def test_generator_vanishing_mod_p_is_left_out(c, fires, monkeypatch):
+    # P x^2 has no leading monomial mod P, so it is no reducer; the rows
+    # stay congruent to the draws, and (x^2, y^2, z^2, x y) is m-primary.
+    gens = [P * X ** 2, Y ** 2, Z ** 2, X * Y]
+    assert singular._m_primary(gens, 3, c) is fires
+    calls = _counting_buchberger(monkeypatch)
+    cone = TangentConeIdeal(vars=V3, generators=gens)
+    assert singular_dimension(cone, 3, 3 - c) == 0
+    assert bool(calls) is not fires
 
 
 def _forbid(monkeypatch, name):
@@ -202,16 +205,46 @@ def _forbid(monkeypatch, name):
     monkeypatch.setattr(singular, name, trap)
 
 
+def _analyze_without_exact_path(ideal, out, monkeypatch):
+    """The exit code and (d, mu, s) of analyze, with no Q minor or basis."""
+    for name in ("buchberger", "jacobian_minors"):
+        _forbid(monkeypatch, name)
+    code = main(["analyze", str(ideal), "-o", str(out)])
+    report = json.loads(out.read_text())
+    return code, tuple(report[k] for k in ("dimension_d", "multiplicity_mu",
+                                           "singular_dimension_s"))
+
+
 def test_union_5332_analyze_takes_the_certificate(tmp_path, monkeypatch):
     ideal, out = tmp_path / "u.ideal", tmp_path / "u.json"
     assert main(["family", "union", "--n", "5", "--d", "3", "--k", "3",
                  "--l", "2", "-o", str(ideal)]) == 0
-    for name in ("buchberger", "jacobian_minors"):
-        _forbid(monkeypatch, name)
-    assert main(["analyze", str(ideal), "-o", str(out)]) in (0, 4)
-    report = json.loads(out.read_text())
-    assert [report[k] for k in ("dimension_d", "multiplicity_mu",
-                                "singular_dimension_s")] == [3, 1, 0]
+    code, dms = _analyze_without_exact_path(ideal, out, monkeypatch)
+    assert code in (0, 4)
+    assert dms == (3, 1, 0)
+
+
+def test_union_6342_analyze_takes_the_certificate(tmp_path, monkeypatch):
+    # 38 cone generators and c = 3 make C(38, 3) * C(6, 3) = 168720 minors,
+    # past MINOR_CAP; the certificate builds no minor and does not read it.
+    ideal, out = tmp_path / "u.ideal", tmp_path / "u.json"
+    assert main(["family", "union", "--n", "6", "--d", "3", "--k", "4",
+                 "--l", "2", "-o", str(ideal)]) == 0
+    assert _analyze_without_exact_path(ideal, out, monkeypatch) == \
+        (4, (3, 1, 0))
+
+
+def test_union_5332_table_has_the_cone_hilbert_function_columns():
+    # The columns are the standard monomials of degree D: HF_cone(D) of
+    # them, not the C(D + n - 1, n - 1) of all degree-D monomials.
+    cone, n, d = _cone_n_d(family_linear_union(5, 3, 3, 2))
+    reduced = [singular._reduce(g) for g in cone.generators]
+    draw = singular._det(singular._draw(random.Random(0), reduced, n, n - d))
+    D = min(map(sum, draw))
+    table, width = singular._normal_forms(reduced, n, D)
+    numerator = hilbert_series(leading_ideal(cone.generators), n).numerator
+    assert (D, len(table), width) == (4, comb(8, 4), 25)
+    assert width == hilbert_function(numerator, n, D)
 
 
 def _squares(k, n):
@@ -224,8 +257,7 @@ def _squares(k, n):
 def test_certificate_skips_large_minors(monkeypatch):
     # c = 8: a draw would be a dense 8 x 8 cofactor expansion
     _forbid(monkeypatch, "_lincomb")
-    data = singular_dimension(_squares(8, 9), 9, 1)
-    assert (data.s, data.empty) == (1, False)     # the x8 axis
+    assert singular_dimension(_squares(8, 9), 9, 1) == 1     # the x8 axis
 
 
 def test_certificate_skips_inputs_over_minor_cap(monkeypatch):
@@ -243,32 +275,29 @@ def test_certificate_declines_when_no_degree_can_fill(monkeypatch):
     for name in ("_reduce", "_insert"):
         _forbid(monkeypatch, name)
     assert singular._m_primary([f], 3, 1) is False
-    data = singular_dimension(cone, 3, 2)
+    s = singular_dimension(cone, 3, 2)
     monkeypatch.setattr(singular, "_m_primary", lambda *_: False)
-    assert data == singular_dimension(cone, 3, 2)
-    assert (data.s, data.empty) == (0, False)
+    assert s == singular_dimension(cone, 3, 2) == 0
 
 
 def test_embedded_union_5332_analyze_takes_the_certificate(tmp_path,
                                                            monkeypatch):
-    # The linear generator's degree-4 multiples fill the rows no minor
-    # reaches; without them 8159 Q minors and a Buchberger run follow.
+    # The linear generator's leading variable is in no standard monomial,
+    # so the draws fill the columns alone; without the certificate 8159 Q
+    # minors and a Buchberger run follow.
     gens = transform_embed(family_linear_union(5, 3, 3, 2))
     ideal, out = tmp_path / "e.ideal", tmp_path / "e.json"
     ideal.write_text(format_ideal(IdealFile(vars=gens[0].vars,
                                             generators=gens)))
-    for name in ("buchberger", "jacobian_minors"):
-        _forbid(monkeypatch, name)
-    assert main(["analyze", str(ideal), "-o", str(out)]) in (0, 4)
-    report = json.loads(out.read_text())
-    assert [report[k] for k in ("dimension_d", "multiplicity_mu",
-                                "singular_dimension_s")] == [3, 1, 0]
+    code, dms = _analyze_without_exact_path(ideal, out, monkeypatch)
+    assert code in (0, 4)
+    assert dms == (3, 1, 0)
 
 
 def test_certificate_declines_a_table_wider_than_the_cap(monkeypatch):
     # (x0, x1, x2)^3 in 8 variables: d = 5, c = 3, and the minors start in
-    # degree 6, whose C(13, 7) = 1716 monomials make a dense table of
-    # 1716^2 > 10 * MINOR_CAP residues.  The count gate alone would pass.
+    # degree 6, whose C(13, 7) = 1716 monomials make a table of up to
+    # 1716^2 > 10^6 residues.  The count gate alone would pass.
     n, k, e = 8, 3, 3
     vars = tuple(f"x{i}" for i in range(n))
     xs = [Polynomial.variable(vars, v) for v in vars[:k]]
@@ -279,17 +308,16 @@ def test_certificate_declines_a_table_wider_than_the_cap(monkeypatch):
             g = g * xs[i]
         gens.append(g)
     low = k * (e - 1)
-    assert comb(low + n - 1, n - 1) ** 2 > 10 * MINOR_CAP
+    assert comb(low + n - 1, n - 1) ** 2 > 10 ** 6
     assert len(gens) + singular._minor_count(gens, n, k) >= comb(e + n - 1,
                                                                 n - 1)
     cone = TangentConeIdeal(vars=vars, generators=gens)
     for name in ("_reduce", "_lincomb", "_insert"):
         _forbid(monkeypatch, name)
     assert singular._m_primary(gens, n, k) is False
-    data = singular_dimension(cone, n, n - k)
+    s = singular_dimension(cone, n, n - k)
     monkeypatch.setattr(singular, "_m_primary", lambda *_: False)
-    assert data == singular_dimension(cone, n, n - k)
-    assert (data.s, data.empty) == (5, False)
+    assert s == singular_dimension(cone, n, n - k) == 5
 
 
 # --- the certificate's draws against the Jacobian product they stand for ---
@@ -361,5 +389,24 @@ def test_fired_certificate_means_s_zero(gens):
     if not singular._m_primary(list(cone.generators), n, n - d):
         return
     with mock.patch.object(singular, "_m_primary", lambda *_: False):
-        exact = singular_dimension(cone, n, d)
-    assert (exact.s, exact.empty) == (0, False)
+        assert singular_dimension(cone, n, d) == 0
+
+
+V2 = ("x0", "x1")
+X0, X1 = (Polynomial.variable(V2, v) for v in V2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_homogeneous_cones())
+# Each cuts a line in the plane, and at c = 2 its singular ideal has s = 1;
+# normal forms that drop the generators' tails, or negate them, fire here.
+@example([X0 - X1, X0 * X1 - X1 ** 2])
+@example([X0 * X1 + X1 ** 2, -X0 - X1])
+def test_certificate_is_sound_on_non_bases(gens):
+    # The raw generators, not a cone basis: the normal forms then reduce by
+    # whichever generator the mod-P leading monomial picks.
+    n = len(gens[0].vars)
+    for c in range(1, min(len(gens), n, 3) + 1):
+        if singular._m_primary(gens, n, c):
+            gb = buchberger(gens + jacobian_minors(gens, c), GREVLEX)
+            assert hilbert_series(leading_ideal(gb.basis), n).dim_affine == 0
