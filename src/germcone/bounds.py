@@ -27,7 +27,8 @@ def classify(n, d, s, k, pure_dim, source=None):
         raise ValueError(f"k={k} outside the theorem range [2, {n - 1}]")
     if source is None:
         source = "unknown" if pure_dim == "unknown" else "user-flag"
-    assert not (pure_dim is True and source == "unknown")
+    if pure_dim is True and source == "unknown":
+        raise ValueError("a pure-dimensional germ needs a known source")
     if k < n - d:
         case = "empty"
     elif k == n - d:
@@ -40,14 +41,16 @@ def classify(n, d, s, k, pure_dim, source=None):
 
 
 def betti_sum_bound(mu, k, case):
-    assert mu >= 1
+    if mu < 1:
+        raise ValueError(f"multiplicity mu={mu} below 1")
     if case == "empty":
         return 0
     if case == "zero_dim":
         return mu
     if case == "bounded":
         return mu * (2 * mu - 1) ** (k - 1)
-    assert case == "unbounded", case
+    if case != "unbounded":
+        raise ValueError(f"unknown case {case!r}")
     return UNBOUNDED
 
 
@@ -63,7 +66,8 @@ def sigma_bound(mu, n, d, s, l, pure_dim, exponent="default"):
     """Bound for the l-th polar invariant; UNBOUNDED when hypotheses fail."""
     if not 1 <= l <= n:
         raise ValueError(f"l={l} outside [1, {n}]")
-    assert exponent in ("default", "paper-display")
+    if exponent not in ("default", "paper-display"):
+        raise ValueError(f"unknown exponent convention {exponent!r}")
     if l > d:
         return 0
     if l == d:

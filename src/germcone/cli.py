@@ -48,7 +48,7 @@ def _cmd_analyze(args):
     try:
         with open(args.file) as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     try:

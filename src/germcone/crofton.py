@@ -23,7 +23,8 @@ def _ball_volumes():
 
 def ball_volume(k):
     """Volume of the k-dimensional unit ball, via the two-step recurrence."""
-    assert k >= 0
+    if k < 0:
+        raise ValueError(f"ball dimension k={k} below 0")
     return next(islice(_ball_volumes(), k, None))
 
 

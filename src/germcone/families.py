@@ -45,7 +45,8 @@ def family_f(n, l):
 
 def transform_product(gens):
     """Cylinder over the germ: same equations, one more ambient coordinate."""
-    assert gens
+    if not gens:
+        raise ValueError("empty generator list")
     vars = gens[0].vars
     ext = vars + (fresh_name(vars),)
     return [g.with_vars(ext) for g in gens]
@@ -53,7 +54,8 @@ def transform_product(gens):
 
 def transform_embed(gens):
     """Flat embedding: the new coordinate is pinned to 0 by a new generator."""
-    assert gens
+    if not gens:
+        raise ValueError("empty generator list")
     vars = gens[0].vars
     name = fresh_name(vars)
     ext = vars + (name,)

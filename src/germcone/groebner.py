@@ -27,9 +27,6 @@ class GroebnerBasis:
     basis: list
     reductions: int = 0
 
-    def is_unit_ideal(self):
-        return any(g.is_constant() for g in self.basis)
-
 
 @dataclass
 class TangentConeIdeal:
@@ -191,5 +188,5 @@ def tangent_cone(gens, budget=PAIR_BUDGET):
         init = initial_part(flat).init
         if init.min_degree() == 0:
             raise GermEmptyError("unit ideal: the germ misses 0")
-        inits.append(init.monic())
+        inits.append(init)
     return TangentConeIdeal(vars=vars, generators=_interreduce(inits, GREVLEX))

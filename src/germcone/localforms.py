@@ -14,7 +14,8 @@ class InitialForm:
 
 def initial_part(f):
     """Lowest-degree homogeneous part of f and its order of vanishing."""
-    assert not f.is_zero(), "initial part of 0 is undefined"
+    if f.is_zero():
+        raise ValueError("initial part of 0 is undefined")
     mu = f.min_degree()
     terms = [(m, c) for m, c in f.terms if m_deg(m) == mu]
     return InitialForm(mu, Polynomial._trusted(f.vars, terms, f.order,
@@ -27,9 +28,11 @@ def conic_blowup(f, eps):
     At eps = 1 this is f itself; as eps shrinks the terms above the initial
     degree are damped by eps^(deg - mu), so the initial form is the limit.
     """
-    assert not f.is_zero()
+    if f.is_zero():
+        raise ValueError("conic blowup of 0 is undefined")
     eps = Fraction(eps)
-    assert eps != 0, "rescaling by 0 is undefined"
+    if eps == 0:
+        raise ValueError("rescaling by 0 is undefined")
     mu = f.min_degree()
     terms = [(m, c * eps ** (m_deg(m) - mu)) for m, c in f.terms]
     return Polynomial._trusted(f.vars, terms, f.order, ordered=True)

@@ -7,10 +7,13 @@ polynomial statement per ';'.  '#' starts a comment.  An optional
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 import json
+from math import log2
 
-from .polyring import GREVLEX, Polynomial, m_deg
+from .polyring import (GREVLEX, Polynomial, _frac_str, _int_str, _numerators,
+                       m_deg)
 
 
 class ParseError(Exception):
@@ -33,6 +36,8 @@ _PUNCT = set("+-*^(),;")
 MAX_NESTING = 100    # levels of '(' and unary '-'; each costs recursion frames
 MAX_DEGREE = 10 ** 4  # total degree of a power or product; constants are free
 MAX_TERMS = 10 ** 5   # bound on the terms of a power or product
+MAX_BITS = 10 ** 5    # bits of a coefficient's numerator or denominator
+MAX_DIGITS = 30102    # digits of a numeral: 10^30102 < 2^MAX_BITS
 
 
 def _tokenize(text):
@@ -59,9 +64,9 @@ def _tokenize(text):
                 i += 1
             tokens.append(("ident", text[start:i], line, col))
             col += i - start
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":      # not str.isdigit, which takes '²'
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             tokens.append(("nat", text[start:i], line, col))
             col += i - start
@@ -111,10 +116,17 @@ class _Parser:
         self.fail("expected identifier")
 
     def expect_nat(self):
-        kind, value, _, _ = self.peek()
-        if kind == "nat":
-            return int(self.next()[1])
-        self.fail("expected natural number")
+        kind, value, line, col = self.peek()
+        if kind != "nat":
+            self.fail("expected natural number")
+        self.next()
+        if len(value) > MAX_DIGITS and len(value.lstrip("0")) > MAX_DIGITS:
+            raise ParseError(f"numeral of more than {MAX_DIGITS} digits",
+                             line, col)
+        try:
+            return int(value)
+        except ValueError:   # past the interpreter's int-from-str limit
+            return int(Decimal(value))
 
     def at_punct(self, ch):
         kind, value, _, _ = self.peek()
@@ -167,21 +179,27 @@ class _Parser:
         return _fold_sum(self.vars, summands)
 
     def parse_term(self):
-        acc = self.parse_factor()
+        acc, size = self.parse_factor()
         degree = _degree(acc)
         while self.at_punct("*"):
             star = self.next()
-            factor = self.parse_factor()
+            factor, factor_size = self.parse_factor()
             degree += _degree(factor)
             if degree > MAX_DEGREE:
                 raise _too_high(degree, star)
             if len(acc.terms) * len(factor.terms) > MAX_TERMS:
                 raise _too_many(star)
+            size += factor_size
+            if size >= MAX_BITS:
+                raise _too_long(star)
             acc = acc * factor
         return acc
 
+    # parse_factor and parse_base return a value with a bound on its
+    # _log2_size, carried along so that no operand is measured again
+
     def parse_factor(self):
-        base = self.parse_base()
+        base, size = self.parse_base()
         if self.at_punct("^"):
             caret = self.next()
             e = self.expect_nat()
@@ -190,8 +208,12 @@ class _Parser:
                 raise _too_high(degree, caret)
             if _power_terms(len(base.terms), e) > MAX_TERMS:
                 raise _too_many(caret)
-            return base ** e
-        return base
+            if size:                # e * size may pass float range
+                if e >= MAX_BITS / size:
+                    raise _too_long(caret)
+                size *= e
+            return base ** e, size
+        return base, size
 
     def parse_base(self):
         kind, value, line, col = self.peek()
@@ -199,17 +221,17 @@ class _Parser:
             self.next()
             if value not in self.variables:
                 raise ParseError(f"unknown variable {value!r}", line, col)
-            return self.variables[value]
+            return self.variables[value], 0.0
         if kind == "nat":
-            self.next()
-            num = int(value)
+            num = self.expect_nat()
             if self.peek()[0] == "slash":
                 self.next()
                 den = self.expect_nat()
                 if den == 0:
                     raise ParseError("zero denominator", line, col)
-                return Polynomial.constant(self.vars, Fraction(num, den), GREVLEX)
-            return Polynomial.constant(self.vars, num, GREVLEX)
+                return (Polynomial.constant(self.vars, Fraction(num, den),
+                                            GREVLEX), log2(max(num, den)))
+            return Polynomial.constant(self.vars, num, GREVLEX), log2(num or 1)
         if kind == "punct" and value in ("(", "-"):
             if self.depth == MAX_NESTING:
                 raise ParseError(f"expression nested more than {MAX_NESTING} "
@@ -219,10 +241,12 @@ class _Parser:
             if value == "(":
                 inner = self.parse_expr()
                 self.expect_punct(")")
+                size = _log2_size(inner)
             else:
-                inner = -self.parse_factor()
+                inner, size = self.parse_factor()
+                inner = -inner
             self.depth -= 1
-            return inner
+            return inner, size
         self.fail("expected variable, number, '(' or '-'")
 
 
@@ -236,7 +260,8 @@ def _degree(p):
 
 def _too_high(degree, token):
     """The error for a power or product past MAX_DEGREE, at its operator."""
-    return ParseError(f"degree {degree} exceeds {MAX_DEGREE}", token[2], token[3])
+    return ParseError(f"degree {_int_str(degree)} exceeds {MAX_DEGREE}",
+                      token[2], token[3])
 
 
 def _power_terms(k, e):
@@ -257,6 +282,25 @@ def _power_terms(k, e):
 def _too_many(token):
     """The error for a power or product past MAX_TERMS, at its operator."""
     return ParseError(f"more than {MAX_TERMS} terms", token[2], token[3])
+
+
+def _log2_size(p):
+    """log2 of the larger of the 1-norm of p's integer numerators and their
+    common denominator.
+
+    A product's coefficients have numerators and denominators at most the
+    product of its factors' sizes, and a power's at most its base's size to
+    the e, so this bounds a result's bits before any arithmetic.
+    """
+    den, ints = _numerators(p)
+    return log2(max(sum(abs(c) for _, c in ints), den))
+
+
+def _too_long(token):
+    """The error for a power or product whose coefficients may pass
+    MAX_BITS, at its operator."""
+    return ParseError(f"a coefficient may exceed {MAX_BITS} bits",
+                      token[2], token[3])
 
 
 def _fold_sum(vars, summands):
@@ -339,11 +383,11 @@ def _emit(value, indent, out):
     elif isinstance(value, bool) or value is None:
         out.append(json.dumps(value))
     elif isinstance(value, int):
-        out.append(str(value))
+        out.append(_int_str(value))
     elif isinstance(value, float):
         out.append(_float_repr(value))
     elif isinstance(value, Fraction):
-        out.append(json.dumps(str(value)))
+        out.append(json.dumps(_frac_str(value)))
     elif isinstance(value, str):
         out.append(json.dumps(value))
     else:

@@ -2,6 +2,7 @@
 
 import heapq
 import operator
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -38,40 +39,33 @@ def fresh_name(vars):
     return name
 
 
-class MonomialOrder:
-    """Total multiplicative order on exponent tuples, selected by kind.
+# kind: (key, desc_key); ascending in desc_key is descending in key
+_KEYS = {
+    "grevlex": (lambda m: (sum(m), tuple(map(operator.neg, reversed(m)))),
+                lambda m: (-sum(m), tuple(reversed(m)))),
+    "gradedfirst": (
+        lambda m: (sum(m), m[0], tuple(map(operator.neg, reversed(m[1:])))),
+        lambda m: (-sum(m), -m[0], tuple(reversed(m[1:])))),
+}
 
-    grevlex and grlex are degree-compatible.  gradedfirst is graded with the
-    first variable dominating inside each degree, then grevlex on the rest;
-    it is the elimination-flavored order used for cone computations.
+
+class MonomialOrder:
+    """Total multiplicative order on exponent tuples: grevlex or gradedfirst.
+
+    Both are degree-compatible.  gradedfirst is graded with the first
+    variable dominating inside each degree, then grevlex on the rest; it is
+    the order of the homogenized cone computation.  key and desc_key are
+    bound when the order is built: a min-heap on desc_key pops the largest
+    monomial first.
     """
 
-    __slots__ = ("kind",)
+    __slots__ = ("kind", "key", "desc_key")
 
     def __init__(self, kind):
-        if kind not in ("grevlex", "grlex", "lex", "gradedfirst"):
+        if kind not in _KEYS:
             raise ValueError(f"unknown monomial order {kind!r}")
         self.kind = kind
-
-    def key(self, m):
-        if self.kind == "grevlex":
-            return (sum(m), tuple(map(operator.neg, reversed(m))))
-        if self.kind == "grlex":
-            return (sum(m), m)
-        if self.kind == "lex":
-            return m
-        return (sum(m), m[0], tuple(map(operator.neg, reversed(m[1:]))))
-
-    def desc_key(self, m):
-        """Ascending in desc_key is descending in key: a min-heap pops the
-        largest monomial first."""
-        if self.kind == "grevlex":
-            return (-sum(m), tuple(reversed(m)))
-        if self.kind == "grlex":
-            return (-sum(m), tuple(map(operator.neg, m)))
-        if self.kind == "lex":
-            return tuple(map(operator.neg, m))
-        return (-sum(m), -m[0], tuple(reversed(m[1:])))
+        self.key, self.desc_key = _KEYS[kind]
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.kind == other.kind
@@ -84,8 +78,6 @@ class MonomialOrder:
 
 
 GREVLEX = MonomialOrder("grevlex")
-GRLEX = MonomialOrder("grlex")
-LEX = MonomialOrder("lex")
 GRADED_FIRST = MonomialOrder("gradedfirst")
 
 
@@ -167,7 +159,8 @@ class Polynomial:
         return dict(self.terms)
 
     def leading_term(self):
-        assert self.terms, "zero polynomial has no leading term"
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading term")
         return self.terms[0]
 
     def leading_monomial(self):
@@ -329,7 +322,8 @@ class Polynomial:
     def substitute(self, assignments):
         """Pin named variables to rational constants, dropping them from the ring."""
         for name in assignments:
-            assert name in self.vars, name
+            if name not in self.vars:
+                raise ValueError(f"unknown variable {name!r}")
         keep = [i for i, v in enumerate(self.vars) if v not in assignments]
         vals = {i: Fraction(assignments[v]) for i, v in enumerate(self.vars)
                 if v in assignments}
@@ -402,8 +396,17 @@ class Polynomial:
         return f"Polynomial<{self}>"
 
 
+def _int_str(n):
+    """str(n), also past the interpreter's limit on int-to-str digits."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def _frac_str(c):
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    num = _int_str(c.numerator)
+    return num if c.denominator == 1 else f"{num}/{_int_str(c.denominator)}"
 
 
 def _numerators(p):
@@ -439,24 +442,24 @@ def _from_ints(vars, numerators, den, order):
 
 
 def divide(f, divisors, order):
-    """Multivariate division: f = sum(q_i * divisors_i) + r.
+    """Multivariate division of f by divisors, as the pair (None, r).
 
     Divisors are tried in list order at every step.  No monomial of the
-    remainder is divisible by any divisor's leading monomial.  Popped
-    monomials strictly decrease, so each quotient monomial is written once.
+    remainder r is divisible by any divisor's leading monomial.  Only r is
+    built, since no caller reads a quotient; the pair stays because
+    bench/hooks.py reads the remainder at index 1.
 
     The dividend is held as integers over one denominator D.  Reducing a
     lead numerator a by a divisor with lead numerator L scales the dividend,
     the remainder and D by L / gcd(a, L), so every step stays integral; one
-    Fraction is built per quotient and remainder term, at the end.
+    Fraction is built per remainder term, at the end.
     """
     if any(d.is_zero() for d in divisors):
         raise ValueError("zero divisor")
     divs = []
     for d in divisors:
-        den, ints = _numerators(d.with_order(order))
-        (lm, lc), tail = ints[0], ints[1:]
-        divs.append((lm, lc, den, tail, {}))
+        (lm, lc), *tail = _numerators(d.with_order(order))[1]
+        divs.append((lm, lc, tail))
     D, p = _numerators(f)
     p = dict(p)
     dkey = order.desc_key
@@ -472,7 +475,7 @@ def divide(f, divisors, order):
         a = p.pop(mono)
         if not a:
             continue
-        for lm, lc, den, tail, quotient in divs:
+        for lm, lc, tail in divs:
             if all(map(le, lm, mono)):
                 g = gcd(a, lc)
                 s, b = lc // g, a // g
@@ -483,7 +486,6 @@ def divide(f, divisors, order):
                     for m in remainder:
                         remainder[m] *= s
                 q = m_div(mono, lm)
-                quotient[q] = (b * den, D)
                 for m2, c2 in tail:
                     mm = tuple(map(add, q, m2))
                     c = get(mm)
@@ -495,11 +497,6 @@ def divide(f, divisors, order):
                 break
         else:
             remainder[mono] = a
-    vars = f.vars
-    return ([Polynomial._trusted(vars, [(m, Fraction(n, d)) for m, (n, d)
-                                        in quotient.items()], order,
-                                 ordered=True)
-             for *_, quotient in divs],
-            Polynomial._trusted(vars, [(m, Fraction(c, D)) for m, c
-                                       in remainder.items()], order,
-                                ordered=True))
+    return None, Polynomial._trusted(
+        f.vars, [(m, Fraction(c, D)) for m, c in remainder.items()], order,
+        ordered=True)

@@ -18,7 +18,8 @@ def _emitted(bound):
 def build_report(ideal, k_range=None, lk_exponent="default",
                  assume_pure_dimensional=False, budget=PAIR_BUDGET):
     """Runs the whole pipeline; k_range is an inclusive (lo, hi) clip."""
-    assert lk_exponent in ("default", "paper-display")
+    if lk_exponent not in ("default", "paper-display"):
+        raise ValueError(f"unknown exponent convention {lk_exponent!r}")
     gens = list(ideal.generators)
     names = ideal.vars
     n = len(names)

@@ -262,7 +262,10 @@ def singular_dimension(cone, n, d, budget=PAIR_BUDGET):
     The singular ideal is the cone's generators plus the c x c minors of
     their Jacobian, c = n - d, the expected codimension.  Before any minor
     is built over Q, the m-primary certificate (_m_primary) may settle
-    s = 0; when it does not fire, the exact path runs unchanged.
+    s = 0; when it does not fire, the exact path runs unchanged.  A linear
+    cone's minors are constants, so that run's basis holds 1 after no
+    reduction, its generators and 1 having pairwise coprime leading
+    monomials: s = -1.
     """
     gens = list(cone.generators)
     if not gens:
@@ -270,8 +273,5 @@ def singular_dimension(cone, n, d, budget=PAIR_BUDGET):
     c = n - d
     if _m_primary(gens, n, c):
         return 0
-    minors = jacobian_minors(gens, c)
-    if any(m.is_constant() for m in minors):
-        return -1
-    gb = buchberger(gens + minors, GREVLEX, budget)
+    gb = buchberger(gens + jacobian_minors(gens, c), GREVLEX, budget)
     return hilbert_series(leading_ideal(gb.basis), n).dim_affine  # -1 for (1)

@@ -8,6 +8,8 @@ from germcone.bounds import (
     UNBOUNDED, betti_sum_bound, classify, lipschitz_killing_bound, op_bound,
     sigma_bound)
 from germcone.crofton import CroftonMatrix, crofton_matrix
+from germcone.parser import parse_ideal
+from germcone.report import build_report
 
 
 # --- classification ---
@@ -159,6 +161,24 @@ def test_lk_range():
     M = crofton_matrix(4)
     with pytest.raises(ValueError):
         lipschitz_killing_bound(2, 4, 2, 0, 3, M)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: classify(4, 2, 0, 2, True, "unknown"),
+    lambda: betti_sum_bound(0, 2, "bounded"),
+    lambda: betti_sum_bound(1, 2, "bogus"),
+    lambda: sigma_bound(2, 4, 2, 0, 1, True, exponent="bogus"),
+], ids=["pure-without-source", "mu-0", "unknown-case", "unknown-exponent"])
+def test_bad_arguments_raise_value_error(call):
+    # checks that raise, not asserts, so that they hold under python -O
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_report_rejects_unknown_exponent_convention():
+    ideal = parse_ideal("vars x, y;\nx^2 - y^3;\n")
+    with pytest.raises(ValueError):
+        build_report(ideal, lk_exponent="bogus")
 
 
 def test_lk_beyond_float_range_is_a_value_error():

@@ -120,6 +120,18 @@ def test_analyze_high_exponent_monomial(tmp_path, capsys):
             report["singular_dimension_s"]) == (1, 1000, 1)
 
 
+def test_analyze_prints_a_coefficient_past_the_str_digit_limit(tmp_path,
+                                                                capsys):
+    # 10^5000 + 7 has 5001 digits, more than the interpreter turns into a
+    # str by default; the cone generator is the input, exact
+    ideal = tmp_path / "long.ideal"
+    ideal.write_text("vars x, y;\nx + (10^5000 + 7)*y;\n")
+    assert main(["analyze", str(ideal)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["tangent_cone_generators"] == ["x + 1" + "0" * 4999 + "7*y"]
+    assert (report["dimension_d"], report["singular_dimension_s"]) == (1, -1)
+
+
 def test_analyze_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.ideal"
     bad.write_text("vars x;\nx + ;\n")

@@ -31,6 +31,11 @@ def test_ball_volume_recurrence(k):
         ball_volume(k - 2) * 2 * pi / k, rel=1e-12)
 
 
+def test_negative_ball_dimension_is_a_value_error():
+    with pytest.raises(ValueError):
+        ball_volume(-1)
+
+
 def reference_entry(i, j):
     """The defining formula, evaluated through the gamma function."""
     a = gamma_ball_volume

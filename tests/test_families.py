@@ -117,6 +117,12 @@ def test_f_rejects_bad_parameters():
 
 # --- transformations ---
 
+@pytest.mark.parametrize("transform", [transform_product, transform_embed])
+def test_transforms_reject_no_generators(transform):
+    with pytest.raises(ValueError):
+        transform([])
+
+
 def test_product_transform_bookkeeping():
     gens = transform_product([family_f(3, 2)])
     assert gens[0].vars == ("x", "y", "z", "w")

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from germcone.parser import (MAX_DEGREE, MAX_NESTING, MAX_TERMS, IdealFile,
-                             ParseError, format_ideal, parse_ideal)
-from germcone.polyring import MonomialOrder, Polynomial
+from germcone.parser import (MAX_BITS, MAX_DEGREE, MAX_DIGITS, MAX_NESTING,
+                             MAX_TERMS, IdealFile, ParseError, format_ideal,
+                             parse_ideal)
+from germcone.polyring import GREVLEX, Polynomial
 
 WORKED = """\
 vars x, y, z;
@@ -86,14 +87,15 @@ def test_few_terms_placed_into_a_large_summand(sign, small):
 
 
 def test_large_sum_is_not_sorted_again(monkeypatch):
+    # each order binds its key when built; the parser's is GREVLEX's
     calls = []
-    key = MonomialOrder.key
+    key = GREVLEX.key
 
-    def counted(self, m):
+    def counted(m):
         calls.append(1)
-        return key(self, m)
+        return key(m)
 
-    monkeypatch.setattr(MonomialOrder, "key", counted)
+    monkeypatch.setattr(GREVLEX, "key", counted)
     power = parse_ideal("vars x, y, z;\n(x + y + z + 1)^30;\n").generators[0]
     power_calls = len(calls)
     f = parse_ideal("vars x, y, z;\n(x + y + z + 1)^30 - 1;\n").generators[0]
@@ -112,6 +114,7 @@ def test_zero_exponent():
     ("vars x, x;\nx;\n", 1, 1, "duplicate variable"),
     ("vars x;\n", 2, 1, "no generators"),
     ("vars x;\nx @ x;\n", 2, 3, "unexpected character '@'"),
+    ("vars x;\nx^\u00b2;\n", 2, 3, "unexpected character '\u00b2'"),
     ("vars x;\ny;\n", 2, 1, "unknown variable 'y'"),
     ("vars x;\n1/0*x;\n", 2, 1, "zero denominator"),
     ("vars x;\n2x;\n", 2, 2, "expected ';'"),
@@ -128,6 +131,16 @@ def test_zero_exponent():
     ("vars x, y, z, w;\n(x+y+z+w)^30*(x+y+z+w)^30;\n", 2, 13,
      f"more than {MAX_TERMS} terms"),
     ("vars x, y, z, w;\n(x+y+z+w)^200;\n", 2, 10, f"more than {MAX_TERMS} terms"),
+    ("vars x;\n(10^100*x + 1)^2000;\n", 2, 15, f"exceed {MAX_BITS} bits"),
+    ("vars x, y;\nx*3^1000000 + y^2;\n", 2, 4, f"exceed {MAX_BITS} bits"),
+    ("vars x, y;\nx*3^99999999999 + y^2;\n", 2, 4, f"exceed {MAX_BITS} bits"),
+    ("vars x;\n10^30000*10^30000*x;\n", 2, 9, f"exceed {MAX_BITS} bits"),
+    ("vars x;\n9^" + "9" * 999 + "*x;\n", 2, 2, f"exceed {MAX_BITS} bits"),
+    ("vars x;\nx^" + "9" * 5000 + ";\n", 2, 2, f"exceeds {MAX_DEGREE}"),
+    ("vars x;\n" + "7" * (MAX_DIGITS + 1) + "*x;\n", 2, 1,
+     f"numeral of more than {MAX_DIGITS} digits"),
+    ("vars x;\nx^" + "9" * (MAX_DIGITS + 1) + ";\n", 2, 3,
+     f"numeral of more than {MAX_DIGITS} digits"),
 ])
 def test_error_positions(text, line, col, fragment):
     with pytest.raises(ParseError) as exc:
@@ -161,6 +174,23 @@ def test_terms_below_the_limit_parse():
     # C(33, 3) = 5456 terms, the bound the power is checked against
     f, = parse_ideal("vars x, y, z;\n(x+y+z+1)^30;\n").generators
     assert len(f.terms) == 5456
+
+
+def test_long_coefficients_below_the_limit_parse():
+    # 10^5000 has 16 610 bits and 5001 digits, more than the interpreter
+    # turns from or into a str by default; 10^30000 has 99 658 bits
+    y = Polynomial.variable(("x", "y"), "y")
+    f, g = parse_ideal("vars x, y;\nx + 10^5000*y;\n"
+                       "1" + "0" * 30000 + "*y + 10^30000*y;\n").generators
+    assert f.terms[1] == ((0, 1), 10 ** 5000)
+    assert g == 2 * 10 ** 30000 * y
+
+
+def test_long_coefficients_round_trip():
+    ideal = parse_ideal("vars x, y;\nx + (10^5000 + 7)*y;\n")
+    text = format_ideal(ideal)
+    assert text == "vars x, y;\nx + 1" + "0" * 4999 + "7*y;\n"
+    assert parse_ideal(text).generators == ideal.generators
 
 
 def test_star_is_mandatory():

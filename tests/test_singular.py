@@ -143,6 +143,29 @@ def _cone_n_d(gens):
     return cone, n, hilbert_series(leading_ideal(cone.generators), n).dim_affine
 
 
+@pytest.mark.parametrize("text, n, d", [
+    ("vars x, y, z;\n(x + y + z + 1)^30 - 1;\n", 3, 2),
+    ("vars x, y, z, w;\nx;\ny;\n", 4, 2),
+], ids=["power30", "two-hyperplanes"])
+def test_linear_cone_is_empty_after_no_reduction(text, n, d, monkeypatch):
+    # a linear cone's minors are constants: the singular run's basis holds 1
+    # before any S-pair is reduced, and its Hilbert series gives s = -1
+    runs = []
+    real = singular.buchberger
+
+    def recorded(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(singular, "buchberger", recorded)
+    cone, n_, d_ = _cone_n_d(parse_ideal(text).generators)
+    assert (n_, d_) == (n, d)
+    assert singular_dimension(cone, n, d) == -1
+    (gb,) = runs
+    assert gb.reductions == 0
+    assert Polynomial.constant(cone.vars, 1) in gb.basis
+
+
 # An optional fifth entry is a transform applied to the union's generators;
 # the embedded unions carry a linear generator, whose leading variable
 # leaves standard only the degree-D monomials free of it.
