@@ -28,59 +28,45 @@ def _k_range(text):
 
 
 def _write(path, text):
-    """Writes text to path, or to stdout when path is None.
-
-    Returns False, with `error:` on stderr, when path cannot be written.
-    """
+    """Writes text to path, or to stdout when path is None."""
     if path is None:
         sys.stdout.write(text)
-        return True
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return False
-    return True
+        return
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _cmd_analyze(args):
-    try:
-        with open(args.file) as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        ideal = parse_ideal(text, source=args.file)
-        report = build_report(ideal, k_range=args.k,
-                              lk_exponent=args.lk_exponent,
-                              assume_pure_dimensional=args.assume_pure_dimensional,
-                              budget=args.budget)
-    except (ParseError, ValueError, GermEmptyError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except ResourceLimitExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
-    if not _write(args.output, emit_report(report)):
-        return EXIT_PARSE
+    with open(args.file) as fh:
+        ideal = parse_ideal(fh.read(), source=args.file)
+    report = build_report(ideal, k_range=args.k,
+                          lk_exponent=args.lk_exponent,
+                          assume_pure_dimensional=args.assume_pure_dimensional,
+                          budget=args.budget)
+    _write(args.output, emit_report(report))
     return EXIT_NO_BOUND if report_has_unbounded(report) else EXIT_OK
 
 
 def _cmd_family(args):
-    try:
-        if args.kind == "g":
-            gens = [family_g(args.l)]
-        elif args.kind == "f":
-            gens = [family_f(args.n, args.l)]
-        else:
-            gens = family_linear_union(args.n, args.d, args.k, args.l)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.kind == "g":
+        gens = [family_g(args.l)]
+    elif args.kind == "f":
+        gens = [family_f(args.n, args.l)]
+    else:
+        gens = family_linear_union(args.n, args.d, args.k, args.l)
     ideal = IdealFile(vars=gens[0].vars, generators=gens)
-    return EXIT_OK if _write(args.output, format_ideal(ideal)) else EXIT_PARSE
+    _write(args.output, format_ideal(ideal))
+    return EXIT_OK
+
+
+def _rational(flag, text):
+    """text as a Fraction, under an error that names the flag it came from."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        shown = text if len(text) <= 40 else text[:20] + "..."
+        raise ValueError(f"{flag}: {shown!r} is not a rational number, or "
+                         "has more than 4300 digits") from None
 
 
 def _parse_fix(text, names):
@@ -91,50 +77,37 @@ def _parse_fix(text, names):
         name, sep, value = piece.partition("=")
         if not sep or name not in names:
             raise ValueError(f"bad assignment {piece!r}")
-        fixed[name] = Fraction(value)
+        fixed[name] = _rational("--fix", value)
     return fixed
 
 
 def _cmd_betti0(args):
     # imported here so that the other commands never load numpy
     from .numtopo import SectionSpec, component_cells, count_components
-    try:
-        with open(args.file) as fh:
-            ideal = parse_ideal(fh.read(), source=args.file)
-        if len(ideal.generators) != 1:
-            raise ParseError("betti0 needs exactly one generator", 0, 0)
-        fixed = _parse_fix(args.fix, ideal.vars)
-        box = tuple(Fraction(v) for v in args.box.split(","))
-        if len(box) != 4:
-            raise ValueError("box needs xmin,xmax,ymin,ymax")
-        res = args.res if args.res == "auto" else Fraction(args.res)
-        spec = SectionSpec(f=ideal.generators[0], fixed_assignments=fixed,
-                           box=box, resolution=res)
-        if args.csv:
-            result, cells = component_cells(spec, budget=args.budget)
-        else:
-            result = count_components(spec, budget=args.budget)
-    except (OSError, ParseError, ValueError, ArithmeticError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except ResourceLimitExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
+    with open(args.file) as fh:
+        ideal = parse_ideal(fh.read(), source=args.file)
+    if len(ideal.generators) != 1:
+        raise ParseError("betti0 needs exactly one generator", 0, 0)
+    fixed = _parse_fix(args.fix, ideal.vars)
+    box = tuple(_rational("--box", v) for v in args.box.split(","))
+    if len(box) != 4:
+        raise ValueError("box needs xmin,xmax,ymin,ymax")
+    res = args.res if args.res == "auto" else _rational("--res", args.res)
+    spec = SectionSpec(f=ideal.generators[0], fixed_assignments=fixed,
+                       box=box, resolution=res)
     if args.csv:
-        rows = "".join(f"{cx!r},{cy!r},{wx!r},{wy!r}\n" for cx, cy, wx, wy in cells)
-        if not _write(args.csv, "cx,cy,wx,wy\n" + rows):
-            return EXIT_PARSE
+        result, cells = component_cells(spec, budget=args.budget)
+        rows = "".join(f"{cx!r},{cy!r},{wx!r},{wy!r}\n"
+                       for cx, cy, wx, wy in cells)
+        _write(args.csv, "cx,cy,wx,wy\n" + rows)
+    else:
+        result = count_components(spec, budget=args.budget)
     print(result.count)
     return EXIT_OK
 
 
 def _cmd_crofton(args):
-    try:
-        M = crofton_matrix(args.n)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    for row in M.entries:
+    for row in crofton_matrix(args.n).entries:
         print(" ".join(f"{v:.12g}" for v in row))
     return EXIT_OK
 
@@ -177,11 +150,23 @@ def main(argv=None):
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(run=_cmd_crofton)
 
-    args = parser.parse_args(argv)
-    if getattr(args, "budget", 1) <= 0:
-        print("error: budget must be positive", file=sys.stderr)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:      # a usage error, or --help
+        return e.code
+    try:
+        if getattr(args, "budget", 1) <= 0:
+            raise ValueError("budget must be positive")
+        return args.run(args)
+    except ResourceLimitExceeded as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_RESOURCE
+    # ValueError takes in UnicodeDecodeError, from an input file that is
+    # not text
+    except (OSError, ValueError, ArithmeticError, ParseError,
+            GermEmptyError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    return args.run(args)
 
 
 def entry():

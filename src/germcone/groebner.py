@@ -3,6 +3,7 @@
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 
 from .localforms import initial_part
 from .polyring import (GRADED_FIRST, GREVLEX, Polynomial, _numerators, divide,
@@ -151,15 +152,14 @@ def homogenize(f, ext_vars):
 def tangent_cone(gens, budget=PAIR_BUDGET):
     """Generators of the initial ideal of (gens), as a reduced grevlex basis.
 
-    Each generator is homogenized by a fresh variable placed first in a
-    graded order that ranks it above the others, so setting it back to 1
-    turns leading terms into initial forms of standard-basis elements.
-    That order homogenizes a local degree order, so the initial forms of
-    the dehomogenized basis are already a grevlex Groebner basis of the
-    cone (Lazard, EUROCAL 1983; Mora, EUROCAM 1982): interreducing them
-    gives the reduced basis with no second Buchberger run.  A principal
-    ideal's cone is generated by the initial form of its generator, which
-    is what that run returns for one generator.
+    Each generator is homogenized by a fresh variable w placed first in a
+    graded order that ranks it above the others.  That order homogenizes a
+    local degree order, so the initial forms of the dehomogenized minimal
+    basis are already a grevlex Groebner basis of the cone (Lazard,
+    EUROCAL 1983; Mora, EUROCAM 1982): interreducing them gives the
+    reduced basis with no second Buchberger run.  A principal ideal's cone
+    is generated by the initial form of its generator, which is what that
+    run returns for one generator.
     """
     if not gens:
         raise ValueError("empty generator list")
@@ -177,16 +177,19 @@ def tangent_cone(gens, budget=PAIR_BUDGET):
         init = initial_part(gens[0].with_order(GREVLEX)).init
         return TangentConeIdeal(vars=vars, generators=[init.monic()])
 
-    w = fresh_name(vars)
-    ext = (w,) + vars
-    lifted = [homogenize(g, ext) for g in gens]
-    gb = buchberger(lifted, GRADED_FIRST, budget)
-
-    inits = []
-    for g in _minimalize(gb.basis, GRADED_FIRST):
-        flat = g.substitute({w: 1}).with_order(GREVLEX)
-        init = initial_part(flat).init
-        if init.min_degree() == 0:
-            raise GermEmptyError("unit ideal: the germ misses 0")
-        inits.append(init)
+    ext = (fresh_name(vars),) + vars
+    gb = buchberger([homogenize(g, ext) for g in gens], GRADED_FIRST, budget)
+    inits = [_cone_form(g, vars) for g in _minimalize(gb.basis, GRADED_FIRST)]
     return TangentConeIdeal(vars=vars, generators=_interreduce(inits, GREVLEX))
+
+
+def _cone_form(g, vars):
+    """The initial form of g(1, x), for g homogeneous, as every element of
+    tangent_cone's run is.  Its terms of lowest degree in x have the top w
+    exponent, and GRADED_FIRST puts them first, in grevlex order on x.  It
+    is not constant, since every generator vanishes at 0.
+    """
+    top = g.terms[0][0][0]
+    run = takewhile(lambda t: t[0][0] == top, g.terms)
+    return Polynomial._trusted(vars, [(m[1:], c) for m, c in run], GREVLEX,
+                               ordered=True)

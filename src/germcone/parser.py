@@ -12,8 +12,7 @@ from fractions import Fraction
 import json
 from math import log2
 
-from .polyring import (GREVLEX, Polynomial, _frac_str, _int_str, _numerators,
-                       m_deg)
+from .polyring import GREVLEX, Polynomial, _frac_str, _int_str, _numerators
 
 
 class ParseError(Exception):
@@ -180,11 +179,12 @@ class _Parser:
 
     def parse_term(self):
         acc, size = self.parse_factor()
-        degree = _degree(acc)
+        # the zero polynomial, of degree -1, counts as a constant here
+        degree = max(acc.degree(), 0)
         while self.at_punct("*"):
             star = self.next()
             factor, factor_size = self.parse_factor()
-            degree += _degree(factor)
+            degree += max(factor.degree(), 0)
             if degree > MAX_DEGREE:
                 raise _too_high(degree, star)
             if len(acc.terms) * len(factor.terms) > MAX_TERMS:
@@ -203,7 +203,7 @@ class _Parser:
         if self.at_punct("^"):
             caret = self.next()
             e = self.expect_nat()
-            degree = _degree(base) * e
+            degree = base.degree() * e
             if degree > MAX_DEGREE:
                 raise _too_high(degree, caret)
             if _power_terms(len(base.terms), e) > MAX_TERMS:
@@ -248,14 +248,6 @@ class _Parser:
             self.depth -= 1
             return inner, size
         self.fail("expected variable, number, '(' or '-'")
-
-
-def _degree(p):
-    """Total degree of a parsed polynomial, read off its grevlex leading term.
-
-    The zero polynomial counts as a constant: degree 0.
-    """
-    return m_deg(p.terms[0][0]) if p.terms else 0
 
 
 def _too_high(degree, token):

@@ -87,7 +87,9 @@ class Polynomial:
     Every coefficient in terms is a nonzero Fraction on its own monomial, so
     division by a coefficient is exact.  The constructor validates and
     combines its input; results computed here go through _trusted instead.
-    The integer form of the terms is cached in _ints by _numerators.
+    The integer form of the terms is cached in _ints by _numerators.  Both
+    orders are degree-compatible, so the first term has the top total degree
+    and the last the lowest.
     """
 
     __slots__ = ("vars", "order", "terms", "_ints")
@@ -149,7 +151,7 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self):
-        return all(m_deg(m) == 0 for m, _ in self.terms)
+        return self.degree() <= 0
 
     def constant_value(self):
         assert self.is_constant()
@@ -171,19 +173,14 @@ class Polynomial:
 
     def degree(self):
         """Total degree, -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(m_deg(m) for m, _ in self.terms)
+        return m_deg(self.terms[0][0]) if self.terms else -1
 
     def min_degree(self):
         """Order of vanishing at the origin, -1 for zero."""
-        if not self.terms:
-            return -1
-        return min(m_deg(m) for m, _ in self.terms)
+        return m_deg(self.terms[-1][0]) if self.terms else -1
 
     def is_homogeneous(self):
-        degs = {m_deg(m) for m, _ in self.terms}
-        return len(degs) <= 1
+        return self.degree() == self.min_degree()
 
     # --- arithmetic ---
 

@@ -1,0 +1,86 @@
+"""Stress inputs beyond the frozen benchmark: plane unions and their
+product (P) and embedding (E) transforms.
+
+ROWS maps each input, named as ROADMAP.md's stress table names it, to a
+builder of its generators; tests/test_stress.py runs the rows that finish
+in about a second in process.  Run as a script,
+
+    PYTHONPATH=src python tests/stress_inputs.py [--repeat R] [NAME ...]
+
+it runs `analyze` in process on each named row (all rows by default) and
+prints one JSON line per row: the best of R wall times, the exit code and
+(d, mu, s).
+"""
+
+import io
+import json
+import sys
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from germcone.cli import main
+from germcone.families import (family_linear_union as u, transform_embed as E,
+                               transform_product as P)
+from germcone.parser import IdealFile, format_ideal
+
+ROWS = {
+    "union(6,4,4,2)": lambda: u(6, 4, 4, 2),
+    "union(5,3,3,3)": lambda: u(5, 3, 3, 3),
+    "union(6,4,4,3)": lambda: u(6, 4, 4, 3),
+    "union(6,3,4,2)": lambda: u(6, 3, 4, 2),
+    "union(7,4,4,2)": lambda: u(7, 4, 4, 2),
+    "E(E(union(5,3,3,2)))": lambda: E(E(u(5, 3, 3, 2))),
+    "P(union(5,3,3,2))": lambda: P(u(5, 3, 3, 2)),
+    "P(P(u(4,3,3,2)))": lambda: P(P(u(4, 3, 3, 2))),
+    "E(P(u(4,3,3,2)))": lambda: E(P(u(4, 3, 3, 2))),
+    "P(E(u(4,3,3,2)))": lambda: P(E(u(4, 3, 3, 2))),
+    "P(u(5,3,3,1))": lambda: P(u(5, 3, 3, 1)),
+}
+
+
+def write_row(name, path):
+    """Write row name's ideal file to path."""
+    gens = ROWS[name]()
+    path.write_text(format_ideal(IdealFile(vars=gens[0].vars,
+                                           generators=gens)))
+
+
+def analyze(path):
+    """(seconds, exit code, (d, mu, s) or None, stderr) of one in-process
+    `analyze` of the ideal file at path."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["analyze", str(path)])
+    seconds = time.perf_counter() - start
+    dms = None
+    if code in (0, 4):
+        report = json.loads(out.getvalue())
+        dms = (report["dimension_d"], report["multiplicity_mu"],
+               report["singular_dimension_s"])
+    return seconds, code, dms, err.getvalue()
+
+
+def _run(names, repeat):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            path = Path(tmp) / "row.ideal"
+            write_row(name, path)
+            runs = [analyze(path) for _ in range(repeat)]
+            seconds, code, dms, err = min(runs)
+            print(json.dumps({"input": name, "analyze_s": round(seconds, 3),
+                              "exit": code, "dms": dms,
+                              "error": err.strip() or None}), flush=True)
+
+
+if __name__ == "__main__":
+    args = sys.argv[1:]
+    repeat = 1
+    if args[:1] == ["--repeat"]:
+        repeat, args = int(args[1]), args[2:]
+    unknown = [a for a in args if a not in ROWS]
+    if unknown:
+        sys.exit(f"unknown rows {unknown}; known: {list(ROWS)}")
+    _run(args or list(ROWS), repeat)

@@ -165,6 +165,22 @@ def test_budget_must_be_positive(worked_file, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "WORKED", "--k", "-1..0"],   # argparse reads -1..0 as a flag
+    ["bogus"],
+    [],
+    ["crofton", "--n", "x"],
+], ids=["spaced-negative-k", "unknown-command", "no-command", "non-int"])
+def test_usage_errors_return_2_in_process(argv, worked_file, capsys):
+    assert main([worked_file if a == "WORKED" else a for a in argv]) == 2
+    assert "usage: germcone" in capsys.readouterr().err
+
+
+def test_help_returns_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: germcone")
+
+
 # --- family ---
 
 def test_family_round_trip(tmp_path):
@@ -238,6 +254,22 @@ def test_betti0_rejects_bad_fix(circle_file):
 
 def test_betti0_rejects_bad_box(circle_file):
     assert main(["betti0", circle_file, "--box=-1,1,-1"]) == 2
+
+
+LONG = "9" * 5000   # past the interpreter's int-from-str limit of 4300 digits
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--fix", ["--fix", "z=" + LONG, "--box=-3,3,-3,3"]),
+    ("--box", ["--box=-3,3,-3," + LONG]),
+    ("--res", ["--fix", "z=0", "--box=-3,3,-3,3", "--res", "1/" + LONG]),
+], ids=["fix", "box", "res"])
+def test_betti0_long_numerals_name_their_flag(flag, argv, tmp_path, capsys):
+    sphere = tmp_path / "sphere.ideal"
+    sphere.write_text("vars x, y, z;\nx^2 + y^2 + z^2 - 1;\n")
+    assert main(["betti0", str(sphere), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and len(err) < 200
 
 
 @pytest.mark.parametrize("argv", [

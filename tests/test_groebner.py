@@ -16,9 +16,10 @@ from hypothesis import assume, given, settings, strategies as st
 from germcone import groebner
 from germcone.families import family_linear_union
 from germcone.groebner import (
-    GermEmptyError, GroebnerBasis, ResourceLimitExceeded, _interreduce,
-    buchberger, homogenize, spoly, tangent_cone)
+    GermEmptyError, GroebnerBasis, ResourceLimitExceeded, _cone_form,
+    _interreduce, _minimalize, buchberger, homogenize, spoly, tangent_cone)
 from germcone.hilbert import hilbert_function, hilbert_series, leading_ideal
+from germcone.localforms import initial_part
 from germcone.parser import parse_ideal
 from germcone.polyring import (GRADED_FIRST, GREVLEX, Polynomial, divide,
                                fresh_name, m_deg)
@@ -321,8 +322,9 @@ def test_cone_is_one_groebner_run(gens, monkeypatch):
 
 
 @st.composite
-def germ_ideals(draw, at_origin=True):
-    """1-3 generators in 2 or 3 variables, mostly non-homogeneous.
+def germ_ideals(draw, at_origin=True, min_gens=1, max_gens=3):
+    """min_gens to max_gens generators in 2 or 3 variables, mostly
+    non-homogeneous.
 
     With at_origin they vanish at 0; without it they may have constant terms.
     """
@@ -334,7 +336,7 @@ def germ_ideals(draw, at_origin=True):
                          max_denominator=3).filter(lambda q: q != 0)
     terms = st.dictionaries(monomial, coeff, min_size=1, max_size=4)
     return [Polynomial(vars, d) for d in
-            draw(st.lists(terms, min_size=1, max_size=3))]
+            draw(st.lists(terms, min_size=min_gens, max_size=max_gens))]
 
 
 @settings(max_examples=150, deadline=None)
@@ -360,6 +362,41 @@ def test_initial_forms_need_no_second_run(gens):
         assume(False)
     again = buchberger(cone.generators, GREVLEX).basis
     assert _interreduce(again, GREVLEX) == cone.generators
+
+
+@settings(max_examples=150, deadline=None)
+@given(germ_ideals(min_gens=2, max_gens=4))
+def test_cone_forms_are_the_leading_runs(gens):
+    # tangent_cone reads each initial form off the front of a minimal
+    # homogenized element; the reference dehomogenizes, re-sorts and scans
+    vars = gens[0].vars
+    ext = (fresh_name(vars),) + vars
+    try:
+        gb = buchberger([homogenize(g, ext) for g in gens], GRADED_FIRST,
+                        budget=40)
+    except ResourceLimitExceeded:
+        assume(False)
+    for g in _minimalize(gb.basis, GRADED_FIRST):
+        assert g.is_homogeneous()
+        form = _cone_form(g, vars)
+        reference = initial_part(
+            g.substitute({ext[0]: 1}).with_order(GREVLEX)).init
+        assert form.terms == reference.terms
+        assert (form.vars, form.order) == (vars, GREVLEX)
+
+
+@pytest.mark.parametrize("gens", [parse_ideal(WORKED).generators,
+                                  family_linear_union(4, 3, 3, 2)],
+                         ids=["worked", "union-4332"])
+def test_multigen_cone_dehomogenizes_nothing(gens, monkeypatch):
+    expected = tangent_cone(gens).generators
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the multi-generator cone left the run's terms")
+
+    monkeypatch.setattr(Polynomial, "substitute", refuse)
+    monkeypatch.setattr(groebner, "initial_part", refuse)
+    assert tangent_cone(gens).generators == expected
 
 
 @st.composite

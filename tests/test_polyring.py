@@ -125,6 +125,18 @@ def test_desc_key_reverses_key(monos, order):
         monos, key=order.key, reverse=True)
 
 
+@given(polys, polys, orders)
+def test_degree_reads_match_term_scans(f, g, order):
+    # the reads take the first and last terms; these are their definitions
+    for p in (f.with_order(order), (f * g - g).with_order(order),
+              (f ** 2).derivative("x").with_order(order)):
+        degs = [m_deg(m) for m, _ in p.terms]
+        assert p.degree() == max(degs, default=-1)
+        assert p.min_degree() == min(degs, default=-1)
+        assert p.is_homogeneous() == (len(set(degs)) <= 1)
+        assert p.is_constant() == all(d == 0 for d in degs)
+
+
 def test_homogeneous_flag():
     assert (X * Y + Z ** 2).is_homogeneous()
     assert not (X + Z ** 2).is_homogeneous()
