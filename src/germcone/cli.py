@@ -64,9 +64,24 @@ def _rational(flag, text):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        shown = text if len(text) <= 40 else text[:20] + "..."
-        raise ValueError(f"{flag}: {shown!r} is not a rational number, or "
-                         "has more than 4300 digits") from None
+        raise ValueError(f"{flag}: {_shown(text)} is not a rational number, "
+                         "or has more than 4300 digits") from None
+
+
+def _real(flag, text):
+    """_rational(flag, text), refused past float range: betti0 counts in
+    floats."""
+    value = _rational(flag, text)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{flag}: {_shown(text)} is past float range") \
+            from None
+    return value
+
+
+def _shown(text):
+    return repr(text if len(text) <= 40 else text[:20] + "...")
 
 
 def _parse_fix(text, names):
@@ -77,7 +92,7 @@ def _parse_fix(text, names):
         name, sep, value = piece.partition("=")
         if not sep or name not in names:
             raise ValueError(f"bad assignment {piece!r}")
-        fixed[name] = _rational("--fix", value)
+        fixed[name] = _real("--fix", value)
     return fixed
 
 
@@ -89,7 +104,7 @@ def _cmd_betti0(args):
     if len(ideal.generators) != 1:
         raise ParseError("betti0 needs exactly one generator", 0, 0)
     fixed = _parse_fix(args.fix, ideal.vars)
-    box = tuple(_rational("--box", v) for v in args.box.split(","))
+    box = tuple(_real("--box", v) for v in args.box.split(","))
     if len(box) != 4:
         raise ValueError("box needs xmin,xmax,ymin,ymax")
     res = args.res if args.res == "auto" else _rational("--res", args.res)

@@ -3,6 +3,11 @@
 Input format: a "vars" header naming the ambient coordinates, then one
 polynomial statement per ';'.  '#' starts a comment.  An optional
 "assume pure_dimensional;" statement sets the corresponding flag.
+
+A term of single-term factors (a variable, a numeral or nat/nat, each maybe
+to a power, as in 3/2*x^2*y*z^3) is built directly as one exponent tuple and
+one coefficient; from a parenthesized or negated factor on, a term is built
+by Polynomial arithmetic.  Both check the same caps at the same operators.
 """
 
 from bisect import bisect_left
@@ -40,7 +45,8 @@ MAX_DIGITS = 30102    # digits of a numeral: 10^30102 < 2^MAX_BITS
 
 
 def _tokenize(text):
-    """Yield (kind, value, line, col); kinds: ident, nat, punct, slash."""
+    """The list of (kind, value, line, col) tokens, ending with an eof token;
+    kinds: ident, nat, punct, slash, eof."""
     tokens = []
     line, col = 1, 1
     i = 0
@@ -144,8 +150,7 @@ class _Parser:
         if len(set(names)) != len(names):
             raise ParseError("duplicate variable name", 1, 1)
         self.vars = tuple(names)
-        self.variables = {v: Polynomial.variable(self.vars, v, GREVLEX)
-                          for v in self.vars}
+        self.index = {v: i for i, v in enumerate(names)}
 
         generators = []
         assume_pure = False
@@ -178,9 +183,12 @@ class _Parser:
         return _fold_sum(self.vars, summands)
 
     def parse_term(self):
-        acc, size = self.parse_factor()
-        # the zero polynomial, of degree -1, counts as a constant here
-        degree = max(acc.degree(), 0)
+        if self.peek()[0] in ("ident", "nat"):
+            acc, degree, size = self.parse_monomial()
+        else:
+            acc, size = self.parse_factor()
+            # the zero polynomial, of degree -1, counts as a constant here
+            degree = max(acc.degree(), 0)
         while self.at_punct("*"):
             star = self.next()
             factor, factor_size = self.parse_factor()
@@ -195,11 +203,81 @@ class _Parser:
             acc = acc * factor
         return acc
 
-    # parse_factor and parse_base return a value with a bound on its
-    # _log2_size, carried along so that no operand is measured again
+    # parse_monomial, parse_single, parse_factor and parse_group return a
+    # bound on their value's _log2_size, carried along so that no operand is
+    # measured again
+
+    def parse_monomial(self):
+        """Single-term factors joined by '*', as (product, degree, size):
+        one exponent list and one coefficient, with the caps checked at each
+        '*' on the degree and bit size summed over the factors, so that the
+        zero coefficient of 0*x^9999 still counts its 9999."""
+        exps = [0] * len(self.vars)
+        coeff = 1
+        degree = size = 0
+        star = None
+        while True:
+            i, e, c, factor_size = self.parse_single()
+            degree += e
+            size += factor_size
+            if star is not None:
+                if degree > MAX_DEGREE:
+                    raise _too_high(degree, star)
+                if size >= MAX_BITS:
+                    raise _too_long(star)
+            if i < 0:
+                coeff *= c
+            else:
+                exps[i] += e
+            if not (self.at_punct("*")
+                    and self.tokens[self.pos + 1][0] in ("ident", "nat")):
+                return _monomial(self.vars, exps, coeff), degree, size
+            star = self.next()
+
+    def parse_single(self):
+        """A variable, a numeral or nat/nat, maybe to a power, as (i, e, c,
+        size): variable i to the e, or for a numeral i = -1, e = 0 and its
+        value c."""
+        kind, value, line, col = self.peek()
+        if kind == "ident":
+            self.next()
+            i = self.index.get(value)
+            if i is None:
+                raise ParseError(f"unknown variable {value!r}", line, col)
+            e = 1
+            if self.at_punct("^"):
+                caret = self.next()
+                e = self.expect_nat()
+                if e > MAX_DEGREE:
+                    raise _too_high(e, caret)
+            return i, e, 1, 0.0
+        c = self.expect_nat()
+        size = log2(c or 1)
+        if self.peek()[0] == "slash":
+            self.next()
+            den = self.expect_nat()
+            if den == 0:
+                raise ParseError("zero denominator", line, col)
+            c, size = Fraction(c, den), log2(max(c, den))
+        if self.at_punct("^"):
+            caret = self.next()
+            e = self.expect_nat()
+            if size:                # e * size may pass float range
+                if e >= MAX_BITS / size:
+                    raise _too_long(caret)
+                size *= e
+            c = c ** e
+        return -1, 0, c, size
 
     def parse_factor(self):
-        base, size = self.parse_base()
+        """A factor as a Polynomial."""
+        if self.peek()[0] in ("ident", "nat"):
+            i, e, c, size = self.parse_single()
+            exps = [0] * len(self.vars)
+            if i >= 0:
+                exps[i] = e
+            return _monomial(self.vars, exps, c), size
+        base, size = self.parse_group()
         if self.at_punct("^"):
             caret = self.next()
             e = self.expect_nat()
@@ -215,23 +293,9 @@ class _Parser:
             return base ** e, size
         return base, size
 
-    def parse_base(self):
+    def parse_group(self):
+        """A parenthesized sum or a unary minus, as a Polynomial."""
         kind, value, line, col = self.peek()
-        if kind == "ident":
-            self.next()
-            if value not in self.variables:
-                raise ParseError(f"unknown variable {value!r}", line, col)
-            return self.variables[value], 0.0
-        if kind == "nat":
-            num = self.expect_nat()
-            if self.peek()[0] == "slash":
-                self.next()
-                den = self.expect_nat()
-                if den == 0:
-                    raise ParseError("zero denominator", line, col)
-                return (Polynomial.constant(self.vars, Fraction(num, den),
-                                            GREVLEX), log2(max(num, den)))
-            return Polynomial.constant(self.vars, num, GREVLEX), log2(num or 1)
         if kind == "punct" and value in ("(", "-"):
             if self.depth == MAX_NESTING:
                 raise ParseError(f"expression nested more than {MAX_NESTING} "
@@ -248,6 +312,12 @@ class _Parser:
             self.depth -= 1
             return inner, size
         self.fail("expected variable, number, '(' or '-'")
+
+
+def _monomial(vars, exps, coeff):
+    """The 1-term Polynomial coeff * vars^exps, or zero."""
+    terms = [(tuple(exps), Fraction(coeff))] if coeff else []
+    return Polynomial._trusted(vars, terms, GREVLEX, ordered=True)
 
 
 def _too_high(degree, token):
@@ -322,9 +392,8 @@ def _fold_sum(vars, summands):
                 terms.insert(i, (m, c))
         return Polynomial._trusted(vars, terms, GREVLEX, ordered=True)
     acc = dict(big.terms)
-    get = acc.get
     for mono, coeff in rest:
-        acc[mono] = get(mono, 0) + coeff
+        acc[mono] = acc[mono] + coeff if mono in acc else coeff
     return Polynomial._trusted(vars, [(m, c) for m, c in acc.items() if c],
                                GREVLEX)
 

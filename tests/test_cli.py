@@ -272,6 +272,21 @@ def test_betti0_long_numerals_name_their_flag(flag, argv, tmp_path, capsys):
     assert err.startswith(f"error: {flag}: ") and len(err) < 200
 
 
+@pytest.mark.parametrize("flag, value, argv", [
+    ("--box", "-1e400", ["CIRCLE", "--box=-1e400,1,-1,1"]),
+    ("--fix", "1e400", ["SPHERE", "--fix", "z=1e400", "--box=-1,1,-1,1"]),
+], ids=["box", "fix"])
+def test_betti0_values_past_float_range_name_their_flag(flag, value, argv,
+                                                        circle_file, tmp_path,
+                                                        capsys):
+    sphere = tmp_path / "sphere.ideal"
+    sphere.write_text("vars x, y, z;\nx^2 + y^2 + z^2 - 1;\n")
+    files = {"CIRCLE": circle_file, "SPHERE": str(sphere)}
+    assert main(["betti0", *(files.get(a, a) for a in argv)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {flag}: {value!r} is past float range\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["betti0", "CIRCLE", "--box=1,-1,-1,1"],                # reversed box
     ["betti0", "CONE", "--box=-1,1,-1,1"],                  # 3 free variables

@@ -109,6 +109,56 @@ def test_zero_exponent():
     assert gens[0] == Polynomial.constant(("x",), 1)
 
 
+def test_zero_to_the_zero_in_a_product():
+    f, = parse_ideal("vars x;\nx^2*0^0;\n").generators
+    assert f.terms == (((2,), Fraction(1)),)
+
+
+# --- single-term factors against the general grammar ---
+
+# A term of variables, numerals and nat/nat, each maybe to a power, is
+# multiplied out as one monomial; the same factors in parentheses go through
+# Polynomial arithmetic.  Numerals and their exponents stay small, so that
+# the bit caps, which bound a group by its reduced value and a bare nat/nat
+# by its written one, never come near; degrees reach past MAX_DEGREE.
+single_bases = st.one_of(
+    st.sampled_from(["x", "y", "z"]),
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 12), st.integers(0, 4)).map(
+        lambda nd: f"{nd[0]}/{nd[1]}"))
+single_factors = st.tuples(single_bases, st.one_of(
+    st.none(), st.integers(0, 6),
+    st.sampled_from([MAX_DEGREE // 2, MAX_DEGREE, MAX_DEGREE + 1]))).filter(
+    lambda be: be[0][0].isalpha() or be[1] is None or be[1] <= 6)
+monomial_terms = st.lists(single_factors, min_size=1, max_size=5)
+
+
+def _spell(term, wrap):
+    return "*".join((f"({b})" if wrap else b) + ("" if e is None else f"^{e}")
+                    for b, e in term)
+
+
+def _generators_or_message(text):
+    try:
+        gens = parse_ideal(text).generators
+    except ParseError as e:
+        return e.message
+    assert all(type(c) is Fraction for g in gens for _, c in g.terms)
+    return [g.terms for g in gens]
+
+
+@given(st.booleans(), monomial_terms,
+       st.lists(st.tuples(st.sampled_from([" + ", " - "]), monomial_terms),
+                max_size=4))
+def test_single_term_factors_match_the_general_grammar(lead, first, rest):
+    texts = []
+    for wrap in (False, True):
+        body = ("-" if lead else "") + _spell(first, wrap) + "".join(
+            op + _spell(t, wrap) for op, t in rest)
+        texts.append(f"vars x, y, z;\n{body};\n")
+    assert _generators_or_message(texts[0]) == _generators_or_message(texts[1])
+
+
 @pytest.mark.parametrize("text,line,col,fragment", [
     ("vars x;\nx + ;\n", 2, 5, "expected variable"),
     ("vars x, x;\nx;\n", 1, 1, "duplicate variable"),
@@ -141,6 +191,10 @@ def test_zero_exponent():
      f"numeral of more than {MAX_DIGITS} digits"),
     ("vars x;\nx^" + "9" * (MAX_DIGITS + 1) + ";\n", 2, 3,
      f"numeral of more than {MAX_DIGITS} digits"),
+
+    # a zero coefficient still counts the degree of its factors
+    ("vars x;\n0*x^9999*(x^2);\n", 2, 9, f"degree {MAX_DEGREE + 1} exceeds"),
+    ("vars x;\n0*x^9999*x^2;\n", 2, 9, f"degree {MAX_DEGREE + 1} exceeds"),
 ])
 def test_error_positions(text, line, col, fragment):
     with pytest.raises(ParseError) as exc:
