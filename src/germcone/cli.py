@@ -127,7 +127,7 @@ def _cmd_crofton(args):
     return EXIT_OK
 
 
-def main(argv=None):
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="germcone",
         description="Multiplicity-based bounds for germ section topology.")
@@ -165,8 +165,16 @@ def main(argv=None):
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(run=_cmd_crofton)
 
+    return parser
+
+
+# built once per process: main only parses and dispatches
+_PARSER = _build_parser()
+
+
+def main(argv=None):
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:      # a usage error, or --help
         return e.code
     try:

@@ -2,7 +2,6 @@
 
 import sys
 from dataclasses import dataclass
-from itertools import islice
 from math import comb, pi
 
 
@@ -19,13 +18,6 @@ def _ball_volumes():
         yield a
         k += 1
         a, b = b, a * 2.0 * pi / (k + 1)
-
-
-def ball_volume(k):
-    """Volume of the k-dimensional unit ball, via the two-step recurrence."""
-    if k < 0:
-        raise ValueError(f"ball dimension k={k} below 0")
-    return next(islice(_ball_volumes(), k, None))
 
 
 def crofton_matrix(n):

@@ -1,11 +1,11 @@
-"""Buchberger's algorithm and the homogenization route to tangent cones."""
+"""Buchberger's algorithm, initial forms and the homogenization route to
+tangent cones."""
 
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
 
-from .localforms import initial_part
 from .polyring import (GRADED_FIRST, GREVLEX, Polynomial, _numerators, divide,
                        fresh_name, m_deg, m_div, m_divides, m_lcm, m_mul)
 
@@ -33,6 +33,22 @@ class GroebnerBasis:
 class TangentConeIdeal:
     vars: tuple
     generators: list
+
+
+@dataclass(frozen=True)
+class InitialForm:
+    mu: int
+    init: Polynomial
+
+
+def initial_part(f):
+    """Lowest-degree homogeneous part of f and its order of vanishing."""
+    if f.is_zero():
+        raise ValueError("initial part of 0 is undefined")
+    mu = f.min_degree()
+    terms = [(m, c) for m, c in f.terms if m_deg(m) == mu]
+    return InitialForm(mu, Polynomial._trusted(f.vars, terms, f.order,
+                                               ordered=True))
 
 
 def spoly(f, g, order):

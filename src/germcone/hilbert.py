@@ -94,11 +94,6 @@ def hilbert_series(monomial_gens, n):
     return HilbertData(numerator, n - c, (-1) ** c * taylor)
 
 
-def hilbert_function(numerator, n, t):
-    """Dimension of the degree-t piece of the quotient, from the numerator."""
-    return sum(c * comb(t - i + n - 1, n - 1) for i, c in numerator if i <= t)
-
-
 def germ_multiplicity(gens, budget=PAIR_BUDGET):
     """Cone dimension d and multiplicity mu of the germ defined by gens."""
     cone = tangent_cone(gens, budget)

@@ -6,6 +6,7 @@ a too-coarse grid can merge nearby components or split a pinched one.
 """
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -25,16 +26,21 @@ class SectionSpec:
     box: tuple                 # (x0, x1, y0, y1) for the two free variables
     resolution: object         # minimal cell width, rational; or "auto"
 
-    @property
-    def free_vars(self):
-        return tuple(v for v in self.f.vars if v not in self.fixed_assignments)
-
 
 @dataclass
 class ComponentCount:
     count: int
     status: str
     cells_examined: int
+
+
+def _float(value, what):
+    """float(value) for a Fraction value, refused by name past float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        shown = Decimal(value.numerator) / value.denominator
+        raise ValueError(f"{what} {shown:.3g} is past float range") from None
 
 
 def _ddx(terms):
@@ -97,7 +103,8 @@ class _Encloser:
     def __init__(self, f):
         if len(f.vars) != 2:
             raise ValueError(f"need exactly 2 variables, got {f.vars}")
-        c = [(i, j, float(coeff)) for (i, j), coeff in f.terms]
+        c = [(i, j, _float(coeff, "section coefficient"))
+             for (i, j), coeff in f.terms]
         fx, fy = _ddx(c), _ddy(c)
         self.c, self.fx, self.fy = c, fx, fy
         self.cabs = [(i, j, abs(v)) for i, j, v in c]
@@ -140,19 +147,6 @@ class _Encloser:
         return v - r, v + r
 
 
-def interval_eval(f, cell):
-    """Enclosure of f over a rectangle ((x0, x1), (y0, y1))."""
-    (x0, x1), (y0, y1) = cell
-    wx = float(x1) - float(x0)
-    wy = float(y1) - float(y0)
-    if not (wx >= 0 and wy >= 0):
-        raise ValueError(f"reversed cell {cell}")
-    cx = np.array([float(x0) + 0.5 * wx])
-    cy = np.array([float(y0) + 0.5 * wy])
-    lo, hi = _Encloser(f)(cx, cy, wx, wy)
-    return float(lo[0]), float(hi[0])
-
-
 def _depth_for(width, height, resolution):
     depth = 0
     while max(width, height) / 2 ** depth > resolution:
@@ -189,7 +183,7 @@ def _occupied_cells(spec, budget):
 
     enclose = _Encloser(f)
     fx0, fy0 = float(x0), float(y0)
-    bw, bh = float(x1 - x0), float(y1 - y0)
+    bw, bh = _float(x1 - x0, "box width"), _float(y1 - y0, "box height")
 
     ix = np.zeros(1, dtype=np.int64)
     iy = np.zeros(1, dtype=np.int64)

@@ -11,7 +11,7 @@ by Polynomial arithmetic.  Both check the same caps at the same operators.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 import json

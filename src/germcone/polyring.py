@@ -132,10 +132,6 @@ class Polynomial:
     # --- constructors ---
 
     @classmethod
-    def zero(cls, vars, order=GREVLEX):
-        return cls(vars, {}, order)
-
-    @classmethod
     def constant(cls, vars, c, order=GREVLEX):
         return cls(vars, {(0,) * len(vars): Fraction(c)}, order)
 
@@ -156,9 +152,6 @@ class Polynomial:
     def constant_value(self):
         assert self.is_constant()
         return self.terms[0][1] if self.terms else Fraction(0)
-
-    def terms_dict(self):
-        return dict(self.terms)
 
     def leading_term(self):
         if not self.terms:
@@ -339,17 +332,6 @@ class Polynomial:
                 del d[mono]
         return Polynomial._trusted(tuple(self.vars[i] for i in keep), d.items(),
                                    self.order)
-
-    def evaluate(self, point):
-        """Exact value at a rational point given as {name: value}."""
-        total = Fraction(0)
-        vals = [Fraction(point[v]) for v in self.vars]
-        for m, c in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    c = c * vals[i] ** e
-            total += c
-        return total
 
     # --- equality ignores the attached order ---
 

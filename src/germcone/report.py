@@ -24,6 +24,9 @@ def build_report(ideal, k_range=None, lk_exponent="default",
     names = ideal.vars
     n = len(names)
     degrees = [g.degree() for g in gens]
+    # a zero generator (degree -1) cuts nothing: the baseline and the
+    # principal-ideal test read the others
+    cutting = [e for e in degrees if e >= 0]
 
     cone = tangent_cone(gens, budget)
     hd = hilbert_series(leading_ideal(cone.generators), n)
@@ -31,7 +34,7 @@ def build_report(ideal, k_range=None, lk_exponent="default",
     s = singular_dimension(cone, n, d, budget=budget)
 
     pure_flag = assume_pure_dimensional or ideal.assume_pure_dimensional
-    if len(gens) == 1:
+    if len(cutting) == 1:
         pure, source = True, "hypersurface-auto"
     elif pure_flag:
         pure, source = True, "user-flag"
@@ -75,7 +78,7 @@ def build_report(ideal, k_range=None, lk_exponent="default",
         "sigma_bounds": sigma_rows,
         "lk_bounds": lk_rows,
         "density_bound": mu,
-        "op_baseline_density": op_bound(degrees, n, d),
+        "op_baseline_density": op_bound(cutting, n, d),
         "flags": {"assume_pure_dimensional": bool(pure_flag),
                   "lk_exponent": lk_exponent,
                   "k_range": f"{lo}..{hi}" if lo <= hi else "empty"},

@@ -156,6 +156,21 @@ def test_analyze_zero_ideal(tmp_path):
     assert main(["analyze", str(ideal)]) == 2
 
 
+@pytest.mark.parametrize("gens", ["0; x^2 - y^3;", "x - x; 0*x; x^2 - y^3;"])
+def test_zero_generators_change_only_the_degree_echo(gens, tmp_path, capsys):
+    # a zero generator has degree -1: it must neither shrink the degree
+    # baseline nor make a principal ideal look like two generators
+    reports = []
+    for name, text in (("cusp", "x^2 - y^3;"), ("padded", gens)):
+        path = tmp_path / f"{name}.ideal"
+        path.write_text(f"vars x, y;\n{text}\n")
+        assert main(["analyze", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["input"], report["degrees"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_analyze_budget_exhaustion(worked_file):
     assert main(["analyze", worked_file, "--budget", "3"]) == 3
 
@@ -179,6 +194,39 @@ def test_usage_errors_return_2_in_process(argv, worked_file, capsys):
 def test_help_returns_0(capsys):
     assert main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: germcone")
+
+
+def test_shared_parser_keeps_no_state_between_calls(circle_file, tmp_path,
+                                                     monkeypatch, capsys):
+    # the parser is built once per process; each call in a row must print
+    # what the same call prints as the first one in a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")    # --help wraps at this width
+    sphere = tmp_path / "sphere.ideal"
+    sphere.write_text("vars x, y, z;\nx^2 + y^2 + z^2 - 1;\n")
+    # four variables, so that --k 2..2 clips the default range 2..3
+    cone = tmp_path / "cone4.ideal"
+    cone.write_text("vars x, y, z, w;\nx^2 + y^2 - z^2 - w^3;\n")
+    calls = [
+        ["analyze", str(cone), "--k", "2..2"],
+        ["analyze", str(cone)],
+        ["betti0", str(sphere), "--fix", "z=0", "--box=-2,2,-2,2"],
+        ["betti0", circle_file, "--box=-2,2,-2,2"],
+        ["crofton", "--n", "x"],
+        ["--help"],
+        ["analyze", str(cone)],
+    ]
+    first = {}
+    for argv in calls:
+        if tuple(argv) not in first:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from germcone.cli import "
+                 "main; sys.exit(main(sys.argv[1:]))", *argv],
+                capture_output=True, text=True, timeout=120)
+            first[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
+    for argv in calls:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == first[tuple(argv)], argv
 
 
 # --- family ---
@@ -285,6 +333,23 @@ def test_betti0_values_past_float_range_name_their_flag(flag, value, argv,
     assert main(["betti0", *(files.get(a, a) for a in argv)]) == 2
     assert capsys.readouterr().err == \
         f"error: {flag}: {value!r} is past float range\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["SPHERE", "--fix", "z=1e200", "--box=-1,1,-1,1"],      # constant 10^400
+    ["CIRCLE", "--box=-1e308,1e308,-1,1"],                  # width 2e308
+    ["BIG", "--box=-1,1,-1,1"],                             # 10^400 * x^2
+], ids=["fix", "box-width", "coefficient"])
+def test_betti0_derived_floats_past_range_are_named(argv, circle_file,
+                                                    tmp_path, capsys):
+    sphere = tmp_path / "sphere.ideal"
+    sphere.write_text("vars x, y, z;\nx^2 + y^2 + z^2 - 1;\n")
+    big = tmp_path / "big.ideal"
+    big.write_text("vars x, y;\n10^400*x^2 + y^2 - 1;\n")
+    files = {"CIRCLE": circle_file, "SPHERE": str(sphere), "BIG": str(big)}
+    assert main(["betti0", *(files.get(a, a) for a in argv)]) == 2
+    err = capsys.readouterr().err
+    assert "past float range" in err and "integer division" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,9 @@ from math import comb, gamma, pi
 import numpy as np
 import pytest
 
-from germcone.crofton import ball_volume, crofton_matrix
+from oracles import ball_volume
+
+from germcone.crofton import crofton_matrix
 
 
 def gamma_ball_volume(k):

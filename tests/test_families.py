@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from oracles import evaluate, zero
+
 from germcone.families import (
     family_f, family_g, family_linear_union, transform_embed,
     transform_product)
-from germcone.groebner import tangent_cone
+from germcone.groebner import initial_part, tangent_cone
 from germcone.hilbert import germ_multiplicity
-from germcone.localforms import initial_part
 from germcone.polyring import Polynomial
 from germcone.singular import singular_dimension
 
@@ -105,7 +106,7 @@ def test_f_vanishes_on_the_root_lines():
     f = family_f(3, 2)
     for r in range(4):
         point = {"x": Fraction(r) * 7, "y": Fraction(7), "z": Fraction(0)}
-        assert f.evaluate(point) == 0
+        assert evaluate(f, point) == 0
 
 
 def test_f_rejects_bad_parameters():
@@ -176,7 +177,7 @@ def restrict_to_line(g, p, q):
     t = Polynomial.variable(tvars, "t")
     coords = [Polynomial.constant(tvars, a) + (b - a) * t
               for a, b in zip(p, q)]
-    total = Polynomial.zero(tvars)
+    total = zero(tvars)
     for mono, c in g.terms:
         term = Polynomial.constant(tvars, c)
         for coord, e in zip(coords, mono):
@@ -193,8 +194,8 @@ def test_union_line_meets_three_pieces():
     p = (Fraction(1, 9), Fraction(1, 3), Fraction(1))
     q = (Fraction(1, 16), Fraction(1, 4), Fraction(1))
     for g in gens:
-        assert g.evaluate(dict(zip(g.vars, p))) == 0
-        assert g.evaluate(dict(zip(g.vars, q))) == 0
+        assert evaluate(g, dict(zip(g.vars, p))) == 0
+        assert evaluate(g, dict(zip(g.vars, q))) == 0
 
     ts = sp.symbols("t")
     restricted = []

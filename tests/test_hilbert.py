@@ -10,8 +10,9 @@ from math import comb
 
 import pytest
 
-from germcone.hilbert import (
-    germ_multiplicity, hilbert_function, hilbert_series, leading_ideal)
+from oracles import hilbert_function
+
+from germcone.hilbert import germ_multiplicity, hilbert_series, leading_ideal
 from germcone.groebner import buchberger, tangent_cone
 from germcone.parser import parse_ideal
 from germcone.polyring import GREVLEX, Polynomial, m_divides

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import evaluate, free_vars, interval_eval, zero
+
 from germcone.groebner import ResourceLimitExceeded
 from germcone.numtopo import (
     _BLOCK, CELL_BUDGET, SectionSpec, _component_count, _Encloser,
-    component_cells, count_components, interval_eval)
+    component_cells, count_components)
 from germcone.polyring import Polynomial
 
 V2 = ("x", "y")
@@ -47,7 +49,7 @@ def test_enclosure_contains_sampled_values(f, x0, y0, wx, wy):
         for j in range(3):
             px = x0 + wx * i / 2
             py = y0 + wy * j / 2
-            value = f.evaluate({"x": px, "y": py})
+            value = evaluate(f, {"x": px, "y": py})
             assert Fraction(lo) <= value <= Fraction(hi), (cell, px, py)
 
 
@@ -134,7 +136,7 @@ def test_enclosure_rejects_bad_input(f, cell):
 def test_enclosure_rejects_reversed_cell_under_optimize():
     # input checks must not be asserts, which -O strips; the enclosure
     # (-1.5, 0.5) it returned there misses the maximum 1 of f on the square
-    code = ("from germcone.numtopo import interval_eval\n"
+    code = ("from oracles import interval_eval\n"
             "from germcone.polyring import Polynomial\n"
             "x = Polynomial.variable(('x', 'y'), 'x')\n"
             "y = Polynomial.variable(('x', 'y'), 'y')\n"
@@ -195,7 +197,7 @@ def test_section_of_three_variables():
          + Polynomial.variable(V3, "y") ** 2
          + Polynomial.variable(V3, "z") ** 2 - 4)
     s = spec(f, (-3, 3, -3, 3), Fraction(1, 32), fixed={"z": Fraction(1)})
-    assert s.free_vars == ("x", "y")
+    assert free_vars(s) == ("x", "y")
     assert count_components(s).count == 1
 
 
@@ -229,7 +231,7 @@ def test_auto_stops_when_two_levels_agree():
     # after 1 + 4 + 16 + 64 + 112 + 144 cells
     V3 = ("x", "y", "z")
     f = sum((Polynomial.variable(V3, v) ** 2 for v in V3),
-            Polynomial.zero(V3)) - 4
+            zero(V3)) - 4
     r = count_components(spec(f, (-3, 3, -3, 3), "auto",
                               fixed={"z": Fraction(1)}))
     assert r.count == 1
@@ -259,7 +261,7 @@ def test_rejects_underdetermined_section():
 
 def test_rejects_zero_polynomial():
     with pytest.raises(ValueError):
-        count_components(spec(Polynomial.zero(V2), (0, 1, 0, 1),
+        count_components(spec(zero(V2), (0, 1, 0, 1),
                               Fraction(1, 4)))
 
 

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import evaluate, terms_dict, zero
 from reference_division import ref_divide
 
 from germcone import polyring
 from germcone.families import family_f
-from germcone.groebner import homogenize
-from germcone.localforms import initial_part
+from germcone.groebner import homogenize, initial_part
 from germcone.polyring import (
     GRADED_FIRST, GREVLEX, MonomialOrder, Polynomial, divide, m_deg,
     m_divides)
@@ -41,9 +41,9 @@ Z = Polynomial.variable(VARS, "z")
 def test_addition_group(f, g, h):
     assert f + g == g + f
     assert (f + g) + h == f + (g + h)
-    assert f + Polynomial.zero(VARS) == f
+    assert f + zero(VARS) == f
     assert (f - g) + g == f
-    assert f - f == Polynomial.zero(VARS)
+    assert f - f == zero(VARS)
 
 
 @given(polys, polys, polys)
@@ -140,7 +140,7 @@ def test_degree_reads_match_term_scans(f, g, order):
 def test_homogeneous_flag():
     assert (X * Y + Z ** 2).is_homogeneous()
     assert not (X + Z ** 2).is_homogeneous()
-    assert Polynomial.zero(VARS).is_homogeneous()
+    assert zero(VARS).is_homogeneous()
 
 
 # --- substitution and evaluation ---
@@ -150,7 +150,7 @@ def test_substitute_matches_evaluate(f, v):
     point = {"x": v, "y": Fraction(1, 2), "z": Fraction(-2)}
     pinned = f.substitute({"x": v, "y": Fraction(1, 2)})
     assert pinned.vars == ("z",)
-    assert pinned.evaluate({"z": Fraction(-2)}) == f.evaluate(point)
+    assert evaluate(pinned, {"z": Fraction(-2)}) == evaluate(f, point)
 
 
 def test_derivative_product_rule():
@@ -178,7 +178,7 @@ def test_division_postcondition(f, divisors, order):
     # divide builds no quotient: f is recombined from the reference's
     _, r = divide(f, divisors, order)
     quotients, ref_r = ref_divide(f, divisors, order)
-    assert r.terms_dict() == ref_r
+    assert terms_dict(r) == ref_r
     recombined = r.with_order(GREVLEX)
     for q, d in zip(quotients, divisors):
         recombined = recombined + poly(q) * d
@@ -206,14 +206,14 @@ def test_division_by_self():
 def test_bad_arguments_raise_value_error():
     # checks that raise, not asserts, so that they hold under python -O
     with pytest.raises(ValueError):
-        Polynomial.zero(VARS).leading_term()
+        zero(VARS).leading_term()
     with pytest.raises(ValueError):
         X.substitute({"t": 1})
 
 
 def test_divide_rejects_zero_divisor():
     with pytest.raises(ValueError):
-        divide(X, [Polynomial.zero(VARS)], GREVLEX)
+        divide(X, [zero(VARS)], GREVLEX)
 
 
 def test_unknown_order_kind_raises_value_error():
@@ -264,10 +264,10 @@ def test_divide_reference_cases(order):
     b = Fraction(-5, 3) * X * Y + Z ** 2 - 2
     f = Fraction(2, 9) * X ** 3 * Y ** 2 - X * Y * Z + Fraction(1, 5) * Y
     for f_, divisors in ((f, [a]), (f, [a, b]), (f, [b, a, X + Fraction(1, 3)]),
-                         (Polynomial.zero(VARS), [a, b]), (a, [a]),
+                         (zero(VARS), [a, b]), (a, [a]),
                          (f ** 2, [a * b, b, a])):
         _assert_divide_matches_reference(f_, divisors, order)
-    none, r = divide(Polynomial.zero(VARS), [a, b], order)
+    none, r = divide(zero(VARS), [a, b], order)
     assert none is None and r.is_zero()
 
 
@@ -315,19 +315,19 @@ def _fraction_terms(f):
 
 @given(polys, polys)
 def test_mul_matches_fraction_reference(f, g):
-    assert _fraction_terms(f * g) == _ref_mul(f.terms_dict(), g.terms_dict())
+    assert _fraction_terms(f * g) == _ref_mul(terms_dict(f), terms_dict(g))
 
 
 @given(polys, st.integers(0, 5))
 def test_pow_matches_fraction_reference(f, e):
-    assert _fraction_terms(f ** e) == _ref_pow(f.terms_dict(), e)
+    assert _fraction_terms(f ** e) == _ref_pow(terms_dict(f), e)
     assert _fraction_terms(f ** 0) == {(0, 0, 0): 1}
 
 
 @pytest.mark.parametrize("e", range(7))
 def test_pow_with_mixed_denominators(e):
     f = Fraction(1, 2) * X + Fraction(1, 3) * Y - 1
-    assert _fraction_terms(f ** e) == _ref_pow(f.terms_dict(), e)
+    assert _fraction_terms(f ** e) == _ref_pow(terms_dict(f), e)
 
 
 def test_cancelling_products():
@@ -335,7 +335,7 @@ def test_cancelling_products():
     a, b = Fraction(1, 2) * X, Polynomial.constant(VARS, Fraction(1, 3))
     assert _fraction_terms((a + b) * (a - b)) == {
         (2, 0, 0): Fraction(1, 4), (0, 0, 0): Fraction(-1, 9)}
-    assert (X - X) ** 3 == Polynomial.zero(VARS)
+    assert (X - X) ** 3 == zero(VARS)
 
 
 def test_pow_rejects_negative_exponent():
@@ -365,7 +365,7 @@ def _mixed_f46():
     base = family_f(4, 6)
     x, y, z, *rest = (Polynomial.variable(base.vars, v) for v in base.vars)
     images = [x + y + z, y + z, z, *rest]
-    f = Polynomial.zero(base.vars)
+    f = zero(base.vars)
     for mono, c in base.terms:
         term = Polynomial.constant(base.vars, c)
         for image, e in zip(images, mono):
@@ -375,7 +375,7 @@ def _mixed_f46():
 
 
 @pytest.mark.parametrize("base, e", [
-    (sum((X ** i for i in range(11)), Polynomial.zero(VARS)), 10),
+    (sum((X ** i for i in range(11)), zero(VARS)), 10),
     (_mixed_f46(), 3),
     ((X + Y) ** 2 + X * Y + Fraction(1, 3), 6),
 ], ids=["dense-univariate", "mixed-f46", "repeated-leading"])
