@@ -88,14 +88,38 @@ def _chain_skip(i, j, lcm_ij, basis, pending):
     return False
 
 
+def _charge(reductions, budget):
+    if reductions > budget:
+        raise ResourceLimitExceeded(
+            f"groebner: reduction budget {budget} exhausted")
+
+
 def buchberger(gens, order, budget=PAIR_BUDGET):
-    """A Groebner basis as built, not reduced: generators, then remainders."""
+    """A Groebner basis as built, not reduced: the generators the pre-pass
+    keeps, then the S-pair remainders.
+
+    The pre-pass takes the distinct generators in ascending leading
+    monomial, keeps the first and replaces each later one by its remainder
+    modulo those kept before it, dropping zeros and making the rest monic.
+    It keeps the ideal, drops dependent generators and leaves distinct
+    leading monomials, before any pair is made.  Each divide, in the
+    pre-pass or of an S-pair, is one reduction charged to budget.
+    """
     if not gens:
         raise ValueError("empty generator list")
     if any(g.is_zero() for g in gens):
         raise ValueError("a generator is 0; drop it before the run")
-    # dict keys dedup by hash and keep first-seen order
-    basis = list(dict.fromkeys(g.with_order(order).monic() for g in gens))
+    # dict keys dedup by hash and keep first-seen order, which the stable
+    # sort keeps among equal leading monomials
+    ranked = sorted(dict.fromkeys(g.with_order(order).monic() for g in gens),
+                    key=lambda g: order.key(g.leading_monomial()))
+    basis, reductions = ranked[:1], 0
+    for g in ranked[1:]:
+        reductions += 1
+        _charge(reductions, budget)
+        _, r = divide(g, basis, order)
+        if not r.is_zero():
+            basis.append(r.monic())
     # Pairs are taken from a heap in (lcm order, i, j) order, each key
     # computed once; the pending set serves _chain_skip's membership test.
     heap, pending = [], set()
@@ -114,7 +138,6 @@ def buchberger(gens, order, budget=PAIR_BUDGET):
 
     for j in range(len(basis)):
         add_pairs(j)
-    reductions = 0
 
     while heap:
         _, i, j, u = heapq.heappop(heap)
@@ -122,9 +145,7 @@ def buchberger(gens, order, budget=PAIR_BUDGET):
         if _chain_skip(i, j, u, basis, pending):
             continue
         reductions += 1
-        if reductions > budget:
-            raise ResourceLimitExceeded(
-                f"groebner: pair reduction budget {budget} exhausted")
+        _charge(reductions, budget)
         _, r = divide(spoly(basis[i], basis[j], order), basis, order)
         if not r.is_zero():
             basis.append(r.monic())

@@ -263,9 +263,9 @@ def singular_dimension(cone, n, d, budget=PAIR_BUDGET):
     their Jacobian, c = n - d, the expected codimension.  Before any minor
     is built over Q, the m-primary certificate (_m_primary) may settle
     s = 0; when it does not fire, the exact path runs unchanged.  A linear
-    cone's minors are constants, so that run's basis holds 1 after no
-    reduction, its generators and 1 having pairwise coprime leading
-    monomials: s = -1.
+    cone's minors are constants, so buchberger's pre-pass keeps 1, which
+    ranks first, reduces every other generator to 0 and leaves no pair:
+    s = -1.
     """
     gens = list(cone.generators)
     if not gens:

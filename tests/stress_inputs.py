@@ -3,7 +3,7 @@ product (P) and embedding (E) transforms.
 
 ROWS maps each input, named as ROADMAP.md's stress table names it, to a
 builder of its generators; tests/test_stress.py runs the rows that finish
-in about a second in process.  Run as a script,
+in a few seconds in process.  Run as a script,
 
     PYTHONPATH=src python tests/stress_inputs.py [--repeat R] [NAME ...]
 

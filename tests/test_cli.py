@@ -175,6 +175,15 @@ def test_analyze_budget_exhaustion(worked_file):
     assert main(["analyze", worked_file, "--budget", "3"]) == 3
 
 
+def test_principal_linear_cone_fits_budget_one(tmp_path, capsys):
+    # the cone skips buchberger and the singular run's pre-pass keeps the
+    # constant minor, then reduces the one cone generator with one divide
+    path = tmp_path / "power40.ideal"
+    path.write_text("vars x, y, z;\n(x+y+z+1)^40 - 1;\n")
+    assert main(["analyze", str(path), "--budget", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["singular_dimension_s"] == -1
+
+
 def test_budget_must_be_positive(worked_file, capsys):
     assert main(["analyze", worked_file, "--budget", "0"]) == 2
     assert "budget" in capsys.readouterr().err

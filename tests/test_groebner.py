@@ -6,8 +6,10 @@ homogeneous quotients are recomputed by exact Gaussian elimination on the
 degree slices, with no Groebner machinery involved.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import pytest
 import sympy as sp
@@ -177,8 +179,8 @@ def _worked_cone_run():
 
 
 PINNED_WORK = [
-    (lambda: (parse_ideal(WORKED).generators, GREVLEX), (17, 7)),
-    (_worked_cone_run, (27, 15)),
+    (lambda: (parse_ideal(WORKED).generators, GREVLEX), (18, 7)),
+    (_worked_cone_run, (28, 15)),
     (lambda: (family_linear_union(4, 3, 3, 2), GREVLEX), (22, 8)),
 ]
 
@@ -186,8 +188,10 @@ PINNED_WORK = [
 @pytest.mark.parametrize("make, work", PINNED_WORK,
                          ids=["worked", "worked-cone", "union-4332"])
 def test_pair_order_pins_the_work(make, work):
-    # the pair queue may get faster but must not reorder: the same pairs
-    # are reduced, so the count, the basis and the budget cut-off stay put
+    # the count is the pre-pass's divides (one per distinct generator but
+    # the first) plus the S-pair reductions; a change to the pre-pass or
+    # the pair queue that moves it re-derives the pin, and the budget
+    # cut-off follows the count
     gens, order = make()
     gb = buchberger(gens, order)
     assert (gb.reductions, len(_interreduce(gb.basis, order))) == work
@@ -197,8 +201,9 @@ def test_pair_order_pins_the_work(make, work):
 
 def test_divide_hook_counts_every_reduction(monkeypatch):
     # the benchmark wraps groebner.divide and reports progress in its calls:
-    # one per S-pair reduction in buchberger, and one per cone generator
-    # in the single interreduce sweep of tangent_cone
+    # one per generator but the first in buchberger's pre-pass and one per
+    # S-pair reduction, each a counted reduction, and one per cone
+    # generator in the single interreduce sweep of tangent_cone
     calls, inside = [], []
     divide_, interreduce_ = groebner.divide, groebner._interreduce
 
@@ -216,11 +221,11 @@ def test_divide_hook_counts_every_reduction(monkeypatch):
     monkeypatch.setattr(groebner, "_interreduce", counted_interreduce)
     gb = buchberger(*_worked_cone_run())
     assert inside == []
-    assert len(calls) == gb.reductions == 27
+    assert len(calls) == gb.reductions == 28
     del calls[:]
     cone = tangent_cone(parse_ideal(WORKED).generators)
     assert inside == [len(cone.generators)] == [5]
-    assert len(calls) == 27 + 5
+    assert len(calls) == 28 + 5
 
 
 def test_divide_returns_the_remainder_at_index_1():
@@ -351,6 +356,72 @@ def test_one_interreduce_sweep_gives_the_reduced_basis(gens):
     except ResourceLimitExceeded:
         assume(False)
     assert set(_interreduce(gb.basis, GREVLEX)) == sympy_reduced_grevlex(gens)
+
+
+@st.composite
+def padded_ideals(draw):
+    """A small ideal, and its generators shuffled among duplicates and
+    nonzero Q-combinations of them."""
+    gens = draw(germ_ideals(at_origin=False))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    extras = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            extras.append(draw(st.sampled_from(gens)))
+        else:
+            combo = sum((draw(coeff) * g for g in gens), zero(gens[0].vars))
+            if not combo.is_zero():
+                extras.append(combo)
+    return gens, draw(st.permutations(gens + extras))
+
+
+@settings(max_examples=150, deadline=None)
+@given(padded_ideals())
+def test_dependent_generators_give_the_same_reduced_basis(ideal):
+    # buchberger's pre-pass drops what depends on the generators kept before
+    # it; what remains must still generate the ideal
+    gens, padded = ideal
+    try:
+        bases = [buchberger(g, GREVLEX, budget=60 + len(padded)).basis
+                 for g in (gens, padded)]
+    except ResourceLimitExceeded:
+        assume(False)
+    plain, extended = (set(_interreduce(b, GREVLEX)) for b in bases)
+    assert plain == extended == sympy_reduced_grevlex(gens)
+
+
+def test_budget_bounds_the_pre_pass(monkeypatch):
+    # 10 multiples of one quadric and their 45 pairwise sums span only 10
+    # dimensions; the budget must stop the run inside the pre-pass, before
+    # a single pair is heaped
+    vars = V3 + ("t",)
+    q = Polynomial(vars, {(2, 0, 0, 0): 1, (0, 1, 1, 0): 1})
+    multiples = [q * Polynomial(vars, {m: 1}) for m in _monomials(4, 2)]
+    gens = multiples + [f + g for i, f in enumerate(multiples)
+                        for g in multiples[i + 1:]]
+    divides, pushes = [], []
+    divide_ = groebner.divide
+
+    def counted_divide(*args):
+        divides.append(1)
+        return divide_(*args)
+
+    def counted_push(heap, item):
+        pushes.append(1)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(groebner, "divide", counted_divide)
+    monkeypatch.setattr(groebner, "heapq",
+                        SimpleNamespace(heappush=counted_push,
+                                        heappop=heapq.heappop))
+    budget = 20
+    assert len(gens) == 55 > budget
+    with pytest.raises(ResourceLimitExceeded):
+        buchberger(gens, GREVLEX, budget=budget)
+    assert len(divides) <= budget
+    assert pushes == []
+    gb = buchberger(gens, GREVLEX)
+    assert len(gb.basis) == len(multiples)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,4 +1,4 @@
-"""The fast rows of the stress table, analyzed in process.
+"""The stress rows that take at most a few seconds, analyzed in process.
 
 Each row's exit code and (d, mu, s) are pinned; the slow rows are measured
 with `tests/stress_inputs.py`, not tested.
@@ -15,6 +15,7 @@ PINNED = {
     "E(P(u(4,3,3,2)))": (4, (4, 1, 1)),
     "P(E(u(4,3,3,2)))": (4, (4, 1, 1)),
     "P(u(5,3,3,1))": (4, (4, 1, 1)),
+    "P(union(5,3,3,2))": (4, (4, 1, 1)),
 }
 
 
