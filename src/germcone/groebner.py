@@ -3,11 +3,11 @@ tangent cones."""
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import takewhile
+from math import gcd
 
-from .polyring import (GRADED_FIRST, GREVLEX, Polynomial, _numerators, divide,
-                       fresh_name, m_deg, m_div, m_divides, m_lcm, m_mul)
+from .polyring import (GRADED_FIRST, GREVLEX, Packing, Polynomial, divide,
+                       fresh_name, m_deg, m_divides, m_lcm, primitive)
 
 PAIR_BUDGET = 10 ** 6
 CELL_BUDGET = 10 ** 7    # numtopo's; here so that the CLI need not import it
@@ -51,34 +51,50 @@ def initial_part(f):
                                                ordered=True))
 
 
-def spoly(f, g, order):
-    """S-polynomial, cancelling the leading terms of f and g.
+def _fits(row, packing):
+    """row, refused past the degree the packed fields can hold."""
+    d = packing.degree(row[0])
+    if d > packing.max_degree:
+        raise ResourceLimitExceeded(
+            f"groebner: degree {d} is past the packed limit "
+            f"{packing.max_degree}")
+    return row
 
-    With F, G the integer numerators of f, g and a, b their leading ones,
-    S = (b x^(u/lm_f) F - a x^(u/lm_g) G) / (a b) for u the lcm of the
-    leading monomials: one Fraction per term.
+
+def _terms(row):
+    """A row as the (E, c) pairs divide takes."""
+    lm, lc, tail = row
+    return [(lm, lc), *tail]
+
+
+def _spoly(f, g, u):
+    """The S-polynomial of rows f and g with leading lcm u, as {E: c}.
+
+    With a, b their leading coefficients and h = gcd(a, b), it is
+    (b/h) x^(u/lm_f) f - (a/h) x^(u/lm_g) g, less the leading terms, which
+    cancel.
     """
-    (lm_f, a), *tail_f = _numerators(f)[1]
-    (lm_g, b), *tail_g = _numerators(g)[1]
-    u = m_lcm(lm_f, lm_g)
-    out = {}
-    for shift, scale, tail in ((m_div(u, lm_f), b, tail_f),
-                               (m_div(u, lm_g), -a, tail_g)):
-        for m, c in tail:
-            m = m_mul(shift, m)
-            out[m] = out.get(m, 0) + scale * c
-    ab = a * b
-    return Polynomial._trusted(f.vars, [(m, Fraction(c, ab))
-                                        for m, c in out.items() if c], order)
+    lm_f, a, tail_f = f
+    lm_g, b, tail_g = g
+    h = gcd(a, b)
+    a, b = a // h, b // h
+    shift = u - lm_f
+    out = {shift + m: b * c for m, c in tail_f}
+    get = out.get
+    shift = u - lm_g
+    for m, c in tail_g:
+        m += shift
+        out[m] = get(m, 0) - a * c
+    return out
 
 
-def _chain_skip(i, j, lcm_ij, basis, pending):
+def _chain_skip(i, j, u, lms, pending, guard):
     # Buchberger's second criterion: some h divides the lcm and both
     # cross pairs were already handled.
-    for h in range(len(basis)):
+    for h in range(len(lms)):
         if h == i or h == j:
             continue
-        if not m_divides(basis[h].leading_monomial(), lcm_ij):
+        if (u - lms[h]) & guard:
             continue
         if (min(i, h), max(i, h)) in pending:
             continue
@@ -100,40 +116,56 @@ def buchberger(gens, order, budget=PAIR_BUDGET):
 
     The pre-pass takes the distinct generators in ascending leading
     monomial, keeps the first and replaces each later one by its remainder
-    modulo those kept before it, dropping zeros and making the rest monic.
-    It keeps the ideal, drops dependent generators and leaves distinct
-    leading monomials, before any pair is made.  Each divide, in the
-    pre-pass or of an S-pair, is one reduction charged to budget.
+    modulo those kept before it, dropping zeros.  It keeps the ideal, drops
+    dependent generators and leaves distinct leading monomials, before any
+    pair is made.  Each divide, in the pre-pass or of an S-pair, is one
+    reduction charged to budget.
+
+    The run packs each generator once into a row (polyring.Packing), and
+    the pre-pass, the pairs and both criteria, the S-polynomials and every
+    divide work on rows: packed monomials, primitive int coefficients.  A
+    monic Polynomial is built for each row the basis keeps, at the end.  A
+    generator or new element past the packed degree limit raises
+    ResourceLimitExceeded, so no field can overflow.
     """
     if not gens:
         raise ValueError("empty generator list")
     if any(g.is_zero() for g in gens):
         raise ValueError("a generator is 0; drop it before the run")
-    # dict keys dedup by hash and keep first-seen order, which the stable
-    # sort keeps among equal leading monomials
-    ranked = sorted(dict.fromkeys(g.with_order(order).monic() for g in gens),
-                    key=lambda g: order.key(g.leading_monomial()))
+    packing = Packing(gens[0].vars, order)
+    key = packing.key
+    # equal rows are equal monic polynomials; dict keys dedup them and keep
+    # first-seen order, which the stable sort keeps among equal leading
+    # monomials
+    ranked = sorted(dict.fromkeys(_fits(packing.row(g), packing)
+                                  for g in gens),
+                    key=lambda row: key(row[0]))
     basis, reductions = ranked[:1], 0
-    for g in ranked[1:]:
+    for row in ranked[1:]:
         reductions += 1
         _charge(reductions, budget)
-        _, r = divide(g, basis, order)
+        _, r = divide(_terms(row), basis, packing)
         if not r.is_zero():
-            basis.append(r.monic())
+            basis.append(primitive(r))
     # Pairs are taken from a heap in (lcm order, i, j) order, each key
     # computed once; the pending set serves _chain_skip's membership test.
+    # lms holds the packed leading monomials, exps their exponent tuples.
     heap, pending = [], set()
+    lms, exps = [], []
+    pack, guard = packing.pack, packing.guard
 
     def add_pairs(j):
-        lm_j = basis[j].leading_monomial()
+        lm_j = basis[j][0]
+        exp_j = packing.unpack(lm_j)
+        lms.append(lm_j)
+        exps.append(exp_j)
         for i in range(j):
-            lm_i = basis[i].leading_monomial()
-            u = m_lcm(lm_i, lm_j)
+            u = pack(m_lcm(exps[i], exp_j))
             # Buchberger's first criterion: coprime leading monomials make an
             # S-polynomial that reduces to 0, so the pair is handled at once.
-            if u == m_mul(lm_i, lm_j):
+            if u == lms[i] + lm_j:
                 continue
-            heapq.heappush(heap, (order.key(u), i, j, u))
+            heapq.heappush(heap, (key(u), i, j, u))
             pending.add((i, j))
 
     for j in range(len(basis)):
@@ -142,16 +174,17 @@ def buchberger(gens, order, budget=PAIR_BUDGET):
     while heap:
         _, i, j, u = heapq.heappop(heap)
         pending.remove((i, j))
-        if _chain_skip(i, j, u, basis, pending):
+        if _chain_skip(i, j, u, lms, pending, guard):
             continue
         reductions += 1
         _charge(reductions, budget)
-        _, r = divide(spoly(basis[i], basis[j], order), basis, order)
+        _, r = divide(_spoly(basis[i], basis[j], u), basis, packing)
         if not r.is_zero():
-            basis.append(r.monic())
+            basis.append(_fits(primitive(r), packing))
             add_pairs(len(basis) - 1)
 
-    return GroebnerBasis(order, basis, reductions)
+    return GroebnerBasis(order, [packing.monic(row) for row in basis],
+                         reductions)
 
 
 def _minimalize(basis, order):
@@ -172,11 +205,15 @@ def _interreduce(basis, order):
     (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, 2.7, Thm 5).
     """
     basis = _minimalize(basis, order)
-    for i in range(len(basis)):
-        _, r = divide(basis[i], basis[:i] + basis[i + 1:], order)
+    if not basis:
+        return basis
+    packing = Packing(basis[0].vars, order)
+    rows = [_fits(packing.row(g), packing) for g in basis]
+    for i in range(len(rows)):
+        _, r = divide(_terms(rows[i]), rows[:i] + rows[i + 1:], packing)
         assert not r.is_zero(), "minimal basis element reduced away"
-        basis[i] = r.monic()
-    return basis
+        rows[i] = primitive(r)
+    return [packing.monic(row) for row in rows]
 
 
 def homogenize(f, ext_vars):

@@ -1,4 +1,5 @@
-"""Exact multivariate polynomial arithmetic over Q with pluggable monomial orders."""
+"""Exact multivariate polynomial arithmetic over Q with pluggable monomial
+orders, and the packed integer form that the Groebner core reduces on."""
 
 import heapq
 import operator
@@ -420,62 +421,153 @@ def _from_ints(vars, numerators, den, order):
         vars, [(m, Fraction(c, den)) for m, c in numerators.items()], order)
 
 
-def divide(f, divisors, order):
-    """Multivariate division of f by divisors, as the pair (None, r).
+# --- packed monomials and rows, for the Groebner core ---
 
-    Divisors are tried in list order at every step.  No monomial of the
-    remainder r is divisible by any divisor's leading monomial.  Only r is
-    built, since no caller reads a quotient; the pair stays because
-    bench/hooks.py reads the remainder at index 1.
+WIDTH = 32      # bits per variable field; fixed, see Packing
 
-    The dividend is held as integers over one denominator D.  Reducing a
-    lead numerator a by a divisor with lead numerator L scales the dividend,
-    the remainder and D by L / gcd(a, L), so every step stays integral; one
-    Fraction is built per remainder term, at the end.
+
+class Packing:
+    """One int per monomial of vars, ordered as order ranks it.
+
+    Each variable owns a WIDTH-bit field and the total degree sits above
+    them all: E = deg << n*W | sum e_i << pos(i)*W.  Under grevlex
+    pos(i) = i; under gradedfirst x_0's field is the top one, pos(0) = n-1,
+    and pos(i) = i-1 for the rest.  With LOW the fields below x_0's (all n
+    under grevlex), the int K = E - 2*(E & LOW) compares as the monomials
+    do: by degree, then by x_0 for gradedfirst, then by the LOW fields from
+    the top one down, the smaller exponent ranking higher.
+    A product is E1 + E2, a quotient E2 - E1, and E1 divides E2 when
+    (E2 - E1) & guard == 0, guard being the top bit of every field.
+
+    That holds while no field reaches 2^(W-1).  W is fixed, so no run ever
+    re-packs: the Groebner core refuses an element of degree above
+    max_degree = 2^(W-2) - 1, and then every lcm of two elements, and every
+    monomial an S-polynomial or a reduction of it makes, has degree, and so
+    every field, below 2^(W-1).
+
+    A row is one polynomial as (lm, lc, tail): its leading monomial and
+    coefficient and the tuple of the other (E, c) pairs, descending, with
+    integer coefficients of gcd 1 and lc > 0.  Polynomials are built only by
+    monic, for the rows a run returns.
     """
-    if any(d.is_zero() for d in divisors):
-        raise ValueError("zero divisor")
-    divs = []
-    for d in divisors:
-        (lm, lc), *tail = _numerators(d.with_order(order))[1]
-        divs.append((lm, lc, tail))
-    D, p = _numerators(f)
-    p = dict(p)
-    dkey = order.desc_key
-    heap = [(dkey(m), m) for m in p]
+
+    __slots__ = ("vars", "order", "shifts", "deg_shift", "bits", "low",
+                 "guard", "field", "max_degree")
+
+    def __init__(self, vars, order):
+        w, n = WIDTH, len(vars)
+        self.vars, self.order = vars, order
+        if order.kind == "grevlex":
+            pos, low_fields = range(n), n
+        else:
+            pos, low_fields = [n - 1, *range(n - 1)], n - 1
+        self.shifts = [p * w for p in pos]
+        self.deg_shift = n * w
+        self.bits = low_fields * w
+        self.low = (1 << self.bits) - 1
+        self.guard = sum(1 << (i * w + w - 1) for i in range(n))
+        self.field = (1 << w) - 1
+        self.max_degree = (1 << (w - 2)) - 1
+
+    def pack(self, m):
+        return sum(map(operator.lshift, m, self.shifts)) | (
+            sum(m) << self.deg_shift)
+
+    def unpack(self, e):
+        field = self.field
+        return tuple((e >> s) & field for s in self.shifts)
+
+    def key(self, e):
+        return e - ((e & self.low) << 1)
+
+    def degree(self, e):
+        return e >> self.deg_shift
+
+    def row(self, p):
+        """The row of the nonzero Polynomial p."""
+        if p.is_zero():
+            raise ValueError("the zero polynomial has no leading term")
+        den = lcm(*(c.denominator for _, c in p.terms))
+        pack, key = self.pack, self.key
+        terms = sorted(((pack(m), c.numerator * (den // c.denominator))
+                        for m, c in p.terms),
+                       key=lambda t: key(t[0]), reverse=True)
+        return primitive(terms)
+
+    def monic(self, row):
+        """The monic Polynomial of a row."""
+        lm, lc, tail = row
+        unpack = self.unpack
+        return Polynomial._trusted(
+            self.vars, [(unpack(lm), Fraction(1)),
+                        *[(unpack(m), Fraction(c, lc)) for m, c in tail]],
+            self.order, ordered=True)
+
+
+def primitive(terms):
+    """The row of descending (E, c) pairs with nonzero int coefficients."""
+    g = gcd(*(c for _, c in terms))
+    if terms[0][1] < 0:
+        g = -g
+    (lm, lc), *tail = terms
+    return lm, lc // g, tuple((m, c // g) for m, c in tail)
+
+
+class Terms(list):
+    """A remainder: descending (E, c) pairs with nonzero int coefficients."""
+
+    __slots__ = ()
+
+    def is_zero(self):
+        return not self
+
+
+def divide(f, divisors, packing):
+    """Divide f, (E, c) pairs with int coefficients, by rows: the pair (s, r).
+
+    Divisors are tried in list order at every step, and s f is the sum of
+    the quotients times the divisors plus r, for an int s > 0.  No monomial
+    of the remainder r, a Terms, is divisible by a divisor's leading
+    monomial.  No quotient is built; bench/hooks.py reads r at index 1.
+
+    The dividend's monomials come off a heap of -K, each E read back from
+    its key.  Reducing a lead coefficient a by a divisor with lead lc scales
+    the dividend, the remainder and s by lc / gcd(a, lc), so every step
+    stays integral.
+    """
+    low, bits, guard = packing.low, packing.bits, packing.guard
+    p = dict(f)
+    heap = [((m & low) << 1) - m for m in p]
     heapq.heapify(heap)
     pop, push, get = heapq.heappop, heapq.heappush, p.get
-    add, le = operator.add, operator.le
-    remainder = {}
+    scale, remainder = 1, Terms()
     while heap:
-        mono = pop(heap)[1]
+        k = pop(heap)
+        mono = (-(k >> bits) << bits) | (k & low)
         # a monomial never comes back once popped, so cancelled ones stay in
         # p as 0 and each monomial enters the heap once
         a = p.pop(mono)
         if not a:
             continue
-        for lm, lc, tail in divs:
-            if all(map(le, lm, mono)):
+        for lm, lc, tail in divisors:
+            if not (mono - lm) & guard:
                 g = gcd(a, lc)
                 s, b = lc // g, a // g
                 if s != 1:
-                    D *= s
+                    scale *= s
                     for m in p:
                         p[m] *= s
-                    for m in remainder:
-                        remainder[m] *= s
-                q = m_div(mono, lm)
+                    remainder[:] = [(m, c * s) for m, c in remainder]
+                q = mono - lm
                 for m2, c2 in tail:
-                    mm = tuple(map(add, q, m2))
+                    mm = q + m2
                     c = get(mm)
                     if c is None:
                         p[mm] = -b * c2
-                        push(heap, (dkey(mm), mm))
+                        push(heap, ((mm & low) << 1) - mm)
                     else:
                         p[mm] = c - b * c2
                 break
         else:
-            remainder[mono] = a
-    return None, Polynomial._trusted(
-        f.vars, [(m, Fraction(c, D)) for m, c in remainder.items()], order,
-        ordered=True)
+            remainder.append((mono, a))
+    return scale, remainder

@@ -2,7 +2,7 @@
 
 import random
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, inf
 
 from .groebner import GREVLEX, PAIR_BUDGET, ResourceLimitExceeded, buchberger
 from .hilbert import hilbert_series, leading_ideal
@@ -13,8 +13,13 @@ P = 2 ** 31 - 1     # the certificate's prime, fixed so that runs repeat
 CERT_MAX_C = 3      # a dense c x c cofactor expansion costs c! products
 
 
-def _det(rows):
-    """Cofactor determinant of a square matrix of Polynomial or _ModP entries."""
+def _det(rows, top=None):
+    """Cofactor determinant of a square matrix of Polynomial or _ModP entries.
+
+    With top, of _ModP entries, every product keeps only its terms of degree
+    at most top (_mul).  No term has negative degree, so the determinant's
+    terms of degree at most top are exact, its 1 x 1 case aside.
+    """
     if len(rows) == 1:
         return rows[0][0]
     total = None
@@ -22,7 +27,8 @@ def _det(rows):
         if entry.is_zero():
             continue
         rest = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = entry * _det(rest)
+        sub = _det(rest, top)
+        term = entry * sub if top is None else _mul(entry, sub, top)
         if j % 2:
             term = -term
         total = term if total is None else total + term
@@ -68,12 +74,25 @@ class _ModP(dict):
         return _lincomb([(1, self), (1, other)])
 
     def __mul__(self, other):
-        out = {}
-        for m1, v1 in self.items():
-            for m2, v2 in other.items():
+        return _mul(self, other, inf)
+
+
+def _mul(f, g, top):
+    """f * g mod P, only its terms of degree at most top."""
+    by_degree = {}
+    for m, v in g.items():
+        by_degree.setdefault(m_deg(m), []).append((m, v))
+    by_degree = sorted(by_degree.items())
+    out = {}
+    for m1, v1 in f.items():
+        room = top - m_deg(m1)
+        for d2, terms in by_degree:
+            if d2 > room:
+                break
+            for m2, v2 in terms:
                 m = m_mul(m1, m2)
                 out[m] = (out.get(m, 0) + v1 * v2) % P
-        return _ModP({m: v for m, v in out.items() if v})
+    return _ModP({m: v for m, v in out.items() if v})
 
 
 def _lincomb(pairs):
@@ -197,14 +216,21 @@ def _m_primary(gens, n, c):
     standard ones (_normal_forms), and the degree-D part of each draw, put
     in normal form, is one dense row over the standard monomials.  Draws are
     ranked until one adds no rank; the test fires when the rank equals the
-    number of standard monomials.
+    number of standard monomials.  A draw's products keep only their terms
+    of degree at most D (_det with top D), and the first draw's those of
+    degree at most low, the lowest degree of a minor, where its lowest
+    degree D generically lies; only when nothing is left is it multiplied
+    out in full.  Those terms are exact, so every row and every decision is
+    that of the whole determinants.
 
     It is sound whether or not gens is a Groebner basis.  Lift every mod-P
     step to Z_(P): each x - NF(x), x not standard, is an element of the
-    ideal with a pivot at x, and each row is its draw minus multiples of the
-    generators.  Together they make an N x N matrix mod P, N = C(D+n-1, n-1),
-    that is block-triangular: the identity on the non-standard columns, and
-    the ranked rows on the standard ones.  A rank mod P never exceeds the
+    ideal with a pivot at x, and each row is the degree-D part of its draw,
+    which the truncated products leave exact and which is in the ideal, the
+    ideal being homogeneous, minus multiples of the generators.  Together
+    they make an N x N matrix mod P, N = C(D+n-1, n-1), that is
+    block-triangular: the identity on the non-standard columns, and the
+    ranked rows on the standard ones.  A rank mod P never exceeds the
     rank over Q, so a full rank proves m^D in the ideal over Q.  This holds
     whichever generator the mod-P leading monomial picks.  The ideal is
     homogeneous and not (1), so V is the origin and s = 0.  The draws
@@ -238,7 +264,8 @@ def _m_primary(gens, n, c):
     if any(g is None for g in reduced):
         return False
     rng = random.Random(0)
-    draw = _det(_draw(rng, reduced, n, c))
+    entries = _draw(rng, reduced, n, c)
+    draw = _det(entries, low) or _det(entries)
     if not draw:
         return False
     D = min(map(m_deg, draw))
@@ -253,7 +280,7 @@ def _m_primary(gens, n, c):
                 row[j] += v * a
         if not _insert(pivots, [r % P for r in row]) or len(pivots) == width:
             return len(pivots) == width     # the rank is at most width
-        draw = _det(_draw(rng, reduced, n, c))
+        draw = _det(_draw(rng, reduced, n, c), D)
 
 
 def singular_dimension(cone, n, d, budget=PAIR_BUDGET):

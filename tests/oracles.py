@@ -5,17 +5,26 @@ exact evaluation, term dicts and the zero of a Polynomial, the conic
 rescaling, and a Hilbert function, plus three views of product code that
 the tests check: one ball volume from crofton's recurrence, a one-cell
 enclosure from numtopo's _Encloser, and a SectionSpec's free variables.
+The Groebner core's reference is here too: S-polynomials and Buchberger's
+algorithm on exponent tuples and Fractions, and polyring.divide wrapped to
+take and return Polynomials.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import islice
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
+from reference_division import ref_divide
+
 from germcone.crofton import _ball_volumes
+from germcone.groebner import (PAIR_BUDGET, GroebnerBasis,
+                               ResourceLimitExceeded)
 from germcone.numtopo import _Encloser
-from germcone.polyring import Polynomial, m_deg
+from germcone.polyring import (Packing, Polynomial, _numerators, divide,
+                               m_deg, m_div, m_divides, m_lcm, m_mul)
 
 
 def zero(vars):
@@ -85,3 +94,112 @@ def interval_eval(f, cell):
 def free_vars(spec):
     """The variables a SectionSpec leaves free."""
     return tuple(v for v in spec.f.vars if v not in spec.fixed_assignments)
+
+
+# --- the Groebner core on exponent tuples and Fractions ---
+
+def packed_divide(f, divisors, order):
+    """polyring.divide on Polynomials, as the pair (None, r) for the exact
+    remainder r: f and the divisors are packed in order, and r is unpacked
+    over the scale divide returns and f's common denominator."""
+    packing = Packing(f.vars, order)
+    rows = [packing.row(d) for d in divisors]
+    den = lcm(*(c.denominator for _, c in f.terms))
+    pairs = [(packing.pack(m), c.numerator * (den // c.denominator))
+             for m, c in f.terms]
+    scale, r = divide(pairs, rows, packing)
+    return None, Polynomial._trusted(
+        f.vars, [(packing.unpack(m), Fraction(c, scale * den)) for m, c in r],
+        order, ordered=True)
+
+
+def reference_divide(f, divisors, order):
+    """The remainder of f by divisors, term by term on Fractions."""
+    _, r = ref_divide(f, divisors, order)
+    return Polynomial._trusted(f.vars, r.items(), order)
+
+
+def spoly(f, g, order):
+    """S-polynomial, cancelling the leading terms of f and g.
+
+    With F, G the integer numerators of f, g and a, b their leading ones,
+    S = (b x^(u/lm_f) F - a x^(u/lm_g) G) / (a b) for u the lcm of the
+    leading monomials: one Fraction per term.
+    """
+    (lm_f, a), *tail_f = _numerators(f)[1]
+    (lm_g, b), *tail_g = _numerators(g)[1]
+    u = m_lcm(lm_f, lm_g)
+    out = {}
+    for shift, scale, tail in ((m_div(u, lm_f), b, tail_f),
+                               (m_div(u, lm_g), -a, tail_g)):
+        for m, c in tail:
+            m = m_mul(shift, m)
+            out[m] = out.get(m, 0) + scale * c
+    ab = a * b
+    return Polynomial._trusted(f.vars, [(m, Fraction(c, ab))
+                                        for m, c in out.items() if c], order)
+
+
+def _chain_skip(i, j, lcm_ij, basis, pending):
+    # Buchberger's second criterion: some h divides the lcm and both
+    # cross pairs were already handled.
+    for h in range(len(basis)):
+        if h == i or h == j:
+            continue
+        if not m_divides(basis[h].leading_monomial(), lcm_ij):
+            continue
+        if (min(i, h), max(i, h)) in pending:
+            continue
+        if (min(j, h), max(j, h)) in pending:
+            continue
+        return True
+    return False
+
+
+def _charge(reductions, budget):
+    if reductions > budget:
+        raise ResourceLimitExceeded(
+            f"groebner: reduction budget {budget} exhausted")
+
+
+def reference_buchberger(gens, order, budget=PAIR_BUDGET):
+    """groebner.buchberger's algorithm on Polynomials: the same pre-pass,
+    pair order, criteria and budget charge, with every S-polynomial and
+    remainder built as a Polynomial of Fractions."""
+    ranked = sorted(dict.fromkeys(g.with_order(order).monic() for g in gens),
+                    key=lambda g: order.key(g.leading_monomial()))
+    basis, reductions = ranked[:1], 0
+    for g in ranked[1:]:
+        reductions += 1
+        _charge(reductions, budget)
+        r = reference_divide(g, basis, order)
+        if not r.is_zero():
+            basis.append(r.monic())
+    heap, pending = [], set()
+
+    def add_pairs(j):
+        lm_j = basis[j].leading_monomial()
+        for i in range(j):
+            lm_i = basis[i].leading_monomial()
+            u = m_lcm(lm_i, lm_j)
+            if u == m_mul(lm_i, lm_j):
+                continue
+            heapq.heappush(heap, (order.key(u), i, j, u))
+            pending.add((i, j))
+
+    for j in range(len(basis)):
+        add_pairs(j)
+
+    while heap:
+        _, i, j, u = heapq.heappop(heap)
+        pending.remove((i, j))
+        if _chain_skip(i, j, u, basis, pending):
+            continue
+        reductions += 1
+        _charge(reductions, budget)
+        r = reference_divide(spoly(basis[i], basis[j], order), basis, order)
+        if not r.is_zero():
+            basis.append(r.monic())
+            add_pairs(len(basis) - 1)
+
+    return GroebnerBasis(order, basis, reductions)

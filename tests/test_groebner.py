@@ -15,17 +15,18 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import hilbert_function, zero
+from oracles import (hilbert_function, packed_divide, reference_buchberger,
+                     reference_divide, spoly, zero)
 
-from germcone import groebner
+from germcone import groebner, polyring
 from germcone.families import family_linear_union
 from germcone.groebner import (
-    GermEmptyError, GroebnerBasis, ResourceLimitExceeded, _cone_form,
-    _interreduce, _minimalize, buchberger, homogenize, initial_part, spoly,
+    PAIR_BUDGET, GermEmptyError, GroebnerBasis, ResourceLimitExceeded, _cone_form,
+    _interreduce, _minimalize, buchberger, homogenize, initial_part,
     tangent_cone)
 from germcone.hilbert import hilbert_series, leading_ideal
 from germcone.parser import parse_ideal
-from germcone.polyring import (GRADED_FIRST, GREVLEX, Polynomial, divide,
+from germcone.polyring import (GRADED_FIRST, GREVLEX, Packing, Polynomial,
                                fresh_name, m_deg)
 
 V3 = ("x", "y", "z")
@@ -49,17 +50,17 @@ TEST_IDEALS = [
 
 
 def assert_spolys_reduce(gb):
+    # on the reference S-polynomials and division, not the packed core
     for f, g in combinations_with_replacement(gb.basis, 2):
         if f is g:
             continue
-        _, r = divide(spoly(f, g, gb.order), gb.basis, gb.order)
+        r = reference_divide(spoly(f, g, gb.order), gb.basis, gb.order)
         assert r.is_zero(), f"S({f}, {g}) left remainder {r}"
 
 
 def assert_generators_contained(gens, gb):
     for g in gens:
-        _, r = divide(g, gb.basis, gb.order)
-        assert r.is_zero()
+        assert reference_divide(g, gb.basis, gb.order).is_zero()
 
 
 # --- exact linear-algebra oracle for graded dimensions ---
@@ -229,9 +230,17 @@ def test_divide_hook_counts_every_reduction(monkeypatch):
 
 
 def test_divide_returns_the_remainder_at_index_1():
-    # the benchmark's divide hook reads the remainder as out[1]
-    out = groebner.divide(X ** 2 * Y + X * Y ** 2, [X * Y - 1], GREVLEX)
-    assert len(out) == 2 and out[0] is None and out[1] == X + Y
+    # the benchmark's divide hook reads the remainder as out[1] and asks
+    # whether it is zero
+    packing = Packing(V3, GREVLEX)
+    f, d = X ** 2 * Y + X * Y ** 2, X * Y - 1
+    lm, lc, tail = packing.row(f)
+    out = groebner.divide([(lm, lc), *tail], [packing.row(d)], packing)
+    assert len(out) == 2 and not out[1].is_zero()
+    out = groebner.divide([(lm, lc), *tail], [packing.row(f)], packing)
+    assert len(out) == 2 and out[1].is_zero()
+    none, r = packed_divide(f, [d], GREVLEX)
+    assert none is None and r == X + Y
 
 
 def sympy_reduced_grevlex(gens):
@@ -267,6 +276,12 @@ def test_spoly_cancels_leading_terms():
     assert s == X ** 2 * Z - Y * Z ** 2
     lcm_deg = 3
     assert all(m_deg(m) <= lcm_deg for m, _ in s.terms)
+    # the core's packed S-polynomial is the same up to a scalar
+    packing = Packing(V3, GREVLEX)
+    u = packing.pack((1, 2, 0))
+    packed = groebner._spoly(packing.row(f), packing.row(g), u)
+    got = Polynomial(V3, {packing.unpack(m): c for m, c in packed.items()})
+    assert got.monic() == s.monic()
 
 
 # --- homogenize ---
@@ -546,3 +561,69 @@ def test_zero_generators_dropped():
 def test_cone_budget():
     with pytest.raises(ResourceLimitExceeded):
         tangent_cone(parse_ideal(WORKED).generators, budget=5)
+
+
+# --- the packed core against the reference on Polynomials ---
+
+def _homogenized(gens):
+    ext = (fresh_name(gens[0].vars),) + gens[0].vars
+    return [homogenize(g, ext) for g in gens], GRADED_FIRST
+
+
+def assert_matches_reference(gens, order, budget=PAIR_BUDGET):
+    """The same basis, term for term, the same reductions and the same
+    budget cut-off as reference_buchberger; False when the reference runs
+    out of budget, and the core then must too."""
+    try:
+        ref = reference_buchberger(gens, order, budget)
+    except ResourceLimitExceeded:
+        with pytest.raises(ResourceLimitExceeded):
+            buchberger(gens, order, budget)
+        return False
+    gb = buchberger(gens, order, budget)
+    assert [(g.vars, g.order, g.terms) for g in gb.basis] == \
+        [(g.vars, g.order, g.terms) for g in ref.basis]
+    assert (gb.order, gb.reductions) == (ref.order, ref.reductions)
+    if gb.reductions:
+        with pytest.raises(ResourceLimitExceeded):
+            buchberger(gens, order, budget=gb.reductions - 1)
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(germ_ideals(at_origin=False, max_gens=4), st.booleans())
+def test_packed_core_matches_the_reference(gens, homogenized):
+    gens, order = _homogenized(gens) if homogenized else (gens, GREVLEX)
+    assume(assert_matches_reference(gens, order, budget=60))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: [X ** 2500 * Y ** 2500 - Z ** 7, X ** 3 - Y * Z],
+    lambda: [X ** 5000 - Y ** 3 * Z, Y ** 4 - X * Z ** 2],
+    lambda: _homogenized([X ** 4000 * Y - Z ** 2, X ** 3 - Y ** 2 * Z]),
+], ids=["grevlex-5000", "grevlex-5000-tail", "cone-run-4001"])
+def test_packed_core_near_max_degree(make):
+    # exponents in the thousands, the parser's range, agree with the
+    # reference on a 32-bit field
+    gens = make()
+    gens, order = gens if isinstance(gens, tuple) else (gens, GREVLEX)
+    assert assert_matches_reference(gens, order)
+
+
+def test_width_guard_refuses_a_degree_past_the_fields(monkeypatch):
+    # 6-bit fields hold degree 15 at most: the generators fit, but the
+    # basis reaches degree 20, and the run must stop rather than wrap
+    gens = [X ** 10 * Y - Z ** 3, X * Y ** 9 - Z ** 2]
+    assert max(g.degree() for g in gens) == 11
+    assert max(g.degree() for g in
+               reference_buchberger(gens, GREVLEX).basis) == 20
+    monkeypatch.setattr(polyring, "WIDTH", 6)
+    with pytest.raises(ResourceLimitExceeded, match="packed limit 15"):
+        buchberger(gens, GREVLEX)
+    with pytest.raises(ResourceLimitExceeded, match="packed limit 15"):
+        buchberger([X ** 16, Y], GREVLEX)
+    with pytest.raises(ResourceLimitExceeded, match="packed limit 15"):
+        _interreduce([X ** 16, Y], GREVLEX)
+    # a run whose basis stays at degree 12 still agrees at this width
+    assert assert_matches_reference([X ** 9 * Y - Z ** 2, Y ** 9 * Z - X ** 3],
+                                    GREVLEX)

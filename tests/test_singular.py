@@ -422,6 +422,18 @@ V2 = ("x0", "x1")
 X0, X1 = (Polynomial.variable(V2, v) for v in V2)
 
 
+def _ranked_rows(gens, n, c):
+    """_m_primary's decision and every row it ranks."""
+    rows, insert = [], singular._insert
+
+    def recorded(pivots, row):
+        rows.append(list(row))
+        return insert(pivots, row)
+
+    with mock.patch.object(singular, "_insert", recorded):
+        return singular._m_primary(gens, n, c), rows
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_homogeneous_cones())
 # Each cuts a line in the plane, and at c = 2 its singular ideal has s = 1;
@@ -430,9 +442,16 @@ X0, X1 = (Polynomial.variable(V2, v) for v in V2)
 @example([X0 * X1 + X1 ** 2, -X0 - X1])
 def test_certificate_is_sound_on_non_bases(gens):
     # The raw generators, not a cone basis: the normal forms then reduce by
-    # whichever generator the mod-P leading monomial picks.
+    # whichever generator the mod-P leading monomial picks.  The draws after
+    # the first multiply out only degrees up to D; whole determinants must
+    # give the same rows and the same decision.
     n = len(gens[0].vars)
     for c in range(1, min(len(gens), n, 3) + 1):
-        if singular._m_primary(gens, n, c):
+        fired, rows = _ranked_rows(gens, n, c)
+        whole = singular._det
+        with mock.patch.object(singular, "_det",
+                               lambda rows, top=None: whole(rows)):
+            assert _ranked_rows(gens, n, c) == (fired, rows)
+        if fired:
             gb = buchberger(gens + jacobian_minors(gens, c), GREVLEX)
             assert hilbert_series(leading_ideal(gb.basis), n).dim_affine == 0

@@ -11,6 +11,8 @@ from stress_inputs import analyze, write_row
 PINNED = {
     "union(6,4,4,2)": (4, (4, 1, 0)),
     "union(5,3,3,3)": (4, (3, 1, 0)),
+    "union(6,4,4,3)": (4, (4, 1, 0)),
+    "union(6,3,4,2)": (4, (3, 1, 0)),
     "P(P(u(4,3,3,2)))": (4, (5, 1, 2)),
     "E(P(u(4,3,3,2)))": (4, (4, 1, 1)),
     "P(E(u(4,3,3,2)))": (4, (4, 1, 1)),
