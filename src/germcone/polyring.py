@@ -19,11 +19,6 @@ def m_divides(a, b):
     return all(map(operator.le, a, b))
 
 
-def m_div(a, b):
-    """Quotient a/b, caller guarantees divisibility."""
-    return tuple(map(operator.sub, a, b))
-
-
 def m_lcm(a, b):
     return tuple(map(max, a, b))
 

@@ -6,7 +6,7 @@ from math import comb, inf
 
 from .groebner import GREVLEX, PAIR_BUDGET, ResourceLimitExceeded, buchberger
 from .hilbert import hilbert_series, leading_ideal
-from .polyring import m_deg, m_div, m_divides, m_mul
+from .polyring import Packing
 
 MINOR_CAP = 10 ** 5
 P = 2 ** 31 - 1     # the certificate's prime, fixed so that runs repeat
@@ -16,9 +16,13 @@ CERT_MAX_C = 3      # a dense c x c cofactor expansion costs c! products
 def _det(rows, top=None):
     """Cofactor determinant of a square matrix of Polynomial or _ModP entries.
 
-    With top, of _ModP entries, every product keeps only its terms of degree
-    at most top (_mul).  No term has negative degree, so the determinant's
-    terms of degree at most top are exact, its 1 x 1 case aside.
+    With top, of _ModP entries, every product keeps only its terms below the
+    packed monomial top (_mul); (D + 1) << deg_shift keeps those of degree
+    at most D.  No term has negative degree, so the determinant's terms of
+    degree at most D are exact, its 1 x 1 case aside.  Packing renames the
+    monomials and nothing else: a product's monomial is the sum of the ints
+    as it was the sum of the exponent tuples, so every residue is the one
+    the tuples give.
     """
     if len(rows) == 1:
         return rows[0][0]
@@ -59,10 +63,11 @@ def jacobian_minors(gens, c):
     return list(dict.fromkeys(det for det in dets if not det.is_zero()))
 
 
-# --- the m-primary certificate, in arithmetic mod P ---
+# --- the m-primary certificate, in arithmetic mod P on packed monomials ---
 
 class _ModP(dict):
-    """A polynomial mod P as {monomial: nonzero residue}, enough for _det."""
+    """A polynomial mod P as {packed monomial: nonzero residue}, enough for
+    _det; the packing is the grevlex Packing of the certificate's vars."""
 
     def is_zero(self):
         return not self
@@ -77,57 +82,81 @@ class _ModP(dict):
         return _mul(self, other, inf)
 
 
+def _mod(sums):
+    """The _ModP of {monomial: int}, its zero residues dropped."""
+    return _ModP({m: r for m, v in sums.items() if (r := v % P)})
+
+
 def _mul(f, g, top):
-    """f * g mod P, only its terms of degree at most top."""
-    by_degree = {}
-    for m, v in g.items():
-        by_degree.setdefault(m_deg(m), []).append((m, v))
-    by_degree = sorted(by_degree.items())
+    """f * g mod P, only its terms below the packed monomial top.
+
+    The degree field sits above every exponent field, so m1 + m2 < top
+    keeps exactly the products of degree below top's; g's terms ascend, so
+    the first m2 >= top - m1 ends the scan for m1.
+    """
+    terms = sorted(g.items())
     out = {}
+    get = out.get
     for m1, v1 in f.items():
-        room = top - m_deg(m1)
-        for d2, terms in by_degree:
-            if d2 > room:
+        room = top - m1
+        for m2, v2 in terms:
+            if m2 >= room:
                 break
-            for m2, v2 in terms:
-                m = m_mul(m1, m2)
-                out[m] = (out.get(m, 0) + v1 * v2) % P
-    return _ModP({m: v for m, v in out.items() if v})
+            m = m1 + m2
+            out[m] = get(m, 0) + v1 * v2
+    return _mod(out)
 
 
 def _lincomb(pairs):
     """sum(a * f for a, f in pairs) mod P."""
     out = {}
+    get = out.get
     for a, f in pairs:
         for m, v in f.items():
-            out[m] = (out.get(m, 0) + a * v) % P
-    return _ModP({m: v for m, v in out.items() if v})
+            out[m] = get(m, 0) + a * v
+    return _mod(out)
 
 
-def _reduce(f):
-    """f mod P, or None when P divides a coefficient's denominator."""
+def _reduce(f, pack):
+    """f mod P, its monomials packed by pack, or None when P divides a
+    coefficient's denominator."""
     out = _ModP()
     for m, q in f.terms:
         if q.denominator % P == 0:
             return None
         v = q.numerator * pow(q.denominator, -1, P) % P
         if v:
-            out[m] = v
+            out[pack(m)] = v
     return out
 
 
-def _directional(f, b):
+def _steps(reduced, packing):
+    """Each monomial m of the reduced generators -> [(j, e_j, m / x_j)]
+    over its nonzero exponents e_j.
+
+    Every combination a draw differentiates is made of these monomials, so
+    each list is built once per certificate and read by every draw.
+    """
+    steps, units = {}, _units(packing)
+    for g in reduced:
+        for m in g:
+            if m not in steps:
+                steps[m] = [(j, e, m - units[j])
+                            for j, e in enumerate(packing.unpack(m)) if e]
+    return steps
+
+
+def _directional(f, b, steps):
     """The derivative of f mod P along the vector b, sum_j b_j df/dx_j."""
     out = {}
+    get = out.get
     for m, v in f.items():
-        for j, e in enumerate(m):
-            if e:
-                dm = m[:j] + (e - 1,) + m[j + 1:]
-                out[dm] = (out.get(dm, 0) + b[j] * e * v) % P
-    return _ModP({m: v for m, v in out.items() if v})
+        for j, e, dm in steps[m]:
+            out[dm] = get(dm, 0) + b[j] * e * v
+    return _mod(out)
 
 
-def _draw(rng, reduced, n, c):
+def _draw(rng, reduced, n, c, steps):
     """The next seeded c x c matrix A J B, as entries d_{b_l}(sum_i A_ki g_i).
 
     A is c x len(reduced) and B is n x c, drawn in that order; row k of A
@@ -138,7 +167,7 @@ def _draw(rng, reduced, n, c):
     A = [[rng.randrange(P) for _ in reduced] for _ in range(c)]
     Bt = [[rng.randrange(P) for _ in range(n)] for _ in range(c)]
     combos = [_lincomb(zip(a, reduced)) for a in A]
-    return [[_directional(h, b) for b in Bt] for h in combos]
+    return [[_directional(h, b, steps) for b in Bt] for h in combos]
 
 
 def _too_wide(D, n):
@@ -147,16 +176,12 @@ def _too_wide(D, n):
     return comb(D + n - 1, n - 1) ** 2 > 10 ** 6
 
 
-def _monomials(n, D):
-    """The exponent vectors of degree D in n variables, in a fixed order."""
-    for picks in combinations_with_replacement(range(n), D):
-        e = [0] * n
-        for i in picks:
-            e[i] += 1
-        yield tuple(e)
+def _units(packing):
+    """The packed variables x_0, ..., x_(n-1)."""
+    return [(1 << s) + (1 << packing.deg_shift) for s in packing.shifts]
 
 
-def _normal_forms(reduced, n, D):
+def _normal_forms(reduced, packing, D):
     """The normal form mod P of every degree-D monomial, over the standard ones.
 
     Walks the degree-D monomials in ascending grevlex order.  One that no
@@ -165,20 +190,24 @@ def _normal_forms(reduced, n, D):
     -sum (t / lc g) NF(x^b t) over the tail terms t of g; each x^b t is
     smaller, so already in the table.  lm and lc are those of the residues
     mod P, and a generator that vanishes mod P is left out.  Returns the
-    table, {monomial: {column: residue}}, and the number of columns.
+    table, {packed monomial: {column: residue}}, and the number of columns.
     """
+    key, guard, units = packing.key, packing.guard, _units(packing)
     tails = []
     for g in filter(None, reduced):
-        lm = max(g, key=GREVLEX.key)
+        lm = max(g, key=key)
         inv = pow(g[lm], -1, P)
         tails.append((lm, [(t, -v * inv % P) for t, v in g.items() if t != lm]))
+    monomials = (sum(map(units.__getitem__, picks)) for picks in
+                 combinations_with_replacement(range(len(units)), D))
     table, width = {}, 0
-    for m in sorted(_monomials(n, D), key=GREVLEX.key):
+    for m in sorted(monomials, key=key):
         for lm, tail in tails:
-            if m_divides(lm, m):
-                b, nf = m_div(m, lm), {}
+            b = m - lm
+            if not b & guard:                   # lm divides m, m = x^b lm
+                nf = {}
                 for t, a in tail:
-                    for j, v in table[m_mul(b, t)].items():
+                    for j, v in table[b + t].items():
                         nf[j] = nf.get(j, 0) + a * v
                 table[m] = {j: r for j, v in nf.items() if (r := v % P)}
                 break
@@ -217,11 +246,18 @@ def _m_primary(gens, n, c):
     in normal form, is one dense row over the standard monomials.  Draws are
     ranked until one adds no rank; the test fires when the rank equals the
     number of standard monomials.  A draw's products keep only their terms
-    of degree at most D (_det with top D), and the first draw's those of
-    degree at most low, the lowest degree of a minor, where its lowest
-    degree D generically lies; only when nothing is left is it multiplied
-    out in full.  Those terms are exact, so every row and every decision is
-    that of the whole determinants.
+    of degree at most D (_det with top (D + 1) << deg_shift), and the first
+    draw's those of degree at most low, the lowest degree of a minor, where
+    its lowest degree D generically lies; only when nothing is left is it
+    multiplied out in full.  Those terms are exact, so every row and every
+    decision is that of the whole determinants.
+
+    The arithmetic runs on the grevlex Packing of the generators' monomials:
+    a product is an int add, a degree E >> deg_shift, a divisibility test
+    the guard mask and the grevlex order Packing.key.  Packing renames each
+    monomial and keeps every sum, comparison and divisibility of the
+    exponent tuples, so the residues, the rows and the decisions are those
+    of the tuples, and the argument below is unchanged.
 
     It is sound whether or not gens is a Groebner basis.  Lift every mod-P
     step to Z_(P): each x - NF(x), x not standard, is an element of the
@@ -241,8 +277,11 @@ def _m_primary(gens, n, c):
     cofactor expansion costs more than the sparse minors; generators that
     are not all homogeneous of degree >= 1, or c of them linear, when a
     minor may be constant; inputs with few generators and minors against
-    the monomials of the lowest degree they reach; a coefficient whose
-    denominator P divides; and a degree D whose table would be too wide.
+    the monomials of the lowest degree they reach; c times the largest
+    generator degree above Packing.max_degree, where a whole determinant's
+    exponents could carry from one packed field into the next; a
+    coefficient whose denominator P divides; and a degree D whose table
+    would be too wide.
     """
     if not 1 <= c <= min(len(gens), n, CERT_MAX_C):
         return False
@@ -260,18 +299,24 @@ def _m_primary(gens, n, c):
         return False
     if _too_wide(low, n):                           # D >= low is wider still
         return False
-    reduced = [_reduce(g) for g in gens]
+    packing = Packing(gens[0].vars, GREVLEX)
+    if c * degs[-1] > packing.max_degree:           # every field stays clear
+        return False
+    reduced = [_reduce(g, packing.pack) for g in gens]
     if any(g is None for g in reduced):
         return False
+    steps = _steps(reduced, packing)
+    shift = packing.deg_shift
     rng = random.Random(0)
-    entries = _draw(rng, reduced, n, c)
-    draw = _det(entries, low) or _det(entries)
+    entries = _draw(rng, reduced, n, c, steps)
+    draw = _det(entries, (low + 1) << shift) or _det(entries)
     if not draw:
         return False
-    D = min(map(m_deg, draw))
+    D = packing.degree(min(draw))
     if _too_wide(D, n):
         return False
-    table, width = _normal_forms(reduced, n, D)
+    table, width = _normal_forms(reduced, packing, D)
+    top = (D + 1) << shift
     pivots = {}
     while True:
         row = [0] * width
@@ -280,7 +325,7 @@ def _m_primary(gens, n, c):
                 row[j] += v * a
         if not _insert(pivots, [r % P for r in row]) or len(pivots) == width:
             return len(pivots) == width     # the rank is at most width
-        draw = _det(_draw(rng, reduced, n, c), D)
+        draw = _det(_draw(rng, reduced, n, c, steps), top)
 
 
 def singular_dimension(cone, n, d, budget=PAIR_BUDGET):

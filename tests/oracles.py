@@ -7,24 +7,29 @@ the tests check: one ball volume from crofton's recurrence, a one-cell
 enclosure from numtopo's _Encloser, and a SectionSpec's free variables.
 The Groebner core's reference is here too: S-polynomials and Buchberger's
 algorithm on exponent tuples and Fractions, and polyring.divide wrapped to
-take and return Polynomials.
+take and return Polynomials.  So is the m-primary certificate's: its
+arithmetic mod P on exponent tuples.
 """
 
 import heapq
+import operator
+import random
 from fractions import Fraction
-from itertools import islice
-from math import comb, lcm
+from itertools import combinations_with_replacement, islice
+from math import comb, inf, lcm
 
 import numpy as np
 
 from reference_division import ref_divide
 
+from germcone import singular
 from germcone.crofton import _ball_volumes
-from germcone.groebner import (PAIR_BUDGET, GroebnerBasis,
+from germcone.groebner import (GREVLEX, PAIR_BUDGET, GroebnerBasis,
                                ResourceLimitExceeded)
 from germcone.numtopo import _Encloser
 from germcone.polyring import (Packing, Polynomial, _numerators, divide,
-                               m_deg, m_div, m_divides, m_lcm, m_mul)
+                               m_deg, m_divides, m_lcm, m_mul)
+from germcone.singular import CERT_MAX_C, P, _minor_count, _too_wide
 
 
 def zero(vars):
@@ -97,6 +102,11 @@ def free_vars(spec):
 
 
 # --- the Groebner core on exponent tuples and Fractions ---
+
+def m_div(a, b):
+    """Quotient a/b of exponent tuples, caller guarantees divisibility."""
+    return tuple(map(operator.sub, a, b))
+
 
 def packed_divide(f, divisors, order):
     """polyring.divide on Polynomials, as the pair (None, r) for the exact
@@ -203,3 +213,163 @@ def reference_buchberger(gens, order, budget=PAIR_BUDGET):
             add_pairs(len(basis) - 1)
 
     return GroebnerBasis(order, basis, reductions)
+
+
+# --- the m-primary certificate on exponent tuples ---
+
+class _TupleModP(dict):
+    """A polynomial mod P as {exponent tuple: nonzero residue}."""
+
+    def is_zero(self):
+        return not self
+
+    def __neg__(self):
+        return _TupleModP({m: P - v for m, v in self.items()})
+
+    def __add__(self, other):
+        return _tuple_lincomb([(1, self), (1, other)])
+
+    def __mul__(self, other):
+        return _tuple_mul(self, other, inf)
+
+
+def _tuple_det(rows, top=None):
+    """Cofactor determinant, every product kept to degrees at most top."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = None
+    for j, entry in enumerate(rows[0]):
+        if entry.is_zero():
+            continue
+        sub = _tuple_det([r[:j] + r[j + 1:] for r in rows[1:]], top)
+        term = entry * sub if top is None else _tuple_mul(entry, sub, top)
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return rows[0][0] if total is None else total
+
+
+def _tuple_mul(f, g, top):
+    """f * g mod P, only its terms of degree at most top."""
+    by_degree = {}
+    for m, v in g.items():
+        by_degree.setdefault(m_deg(m), []).append((m, v))
+    by_degree = sorted(by_degree.items())
+    out = {}
+    for m1, v1 in f.items():
+        room = top - m_deg(m1)
+        for d2, terms in by_degree:
+            if d2 > room:
+                break
+            for m2, v2 in terms:
+                m = m_mul(m1, m2)
+                out[m] = (out.get(m, 0) + v1 * v2) % P
+    return _TupleModP({m: v for m, v in out.items() if v})
+
+
+def _tuple_lincomb(pairs):
+    """sum(a * f for a, f in pairs) mod P."""
+    out = {}
+    for a, f in pairs:
+        for m, v in f.items():
+            out[m] = (out.get(m, 0) + a * v) % P
+    return _TupleModP({m: v for m, v in out.items() if v})
+
+
+def _tuple_reduce(f):
+    """f mod P, or None when P divides a coefficient's denominator."""
+    out = _TupleModP()
+    for m, q in f.terms:
+        if q.denominator % P == 0:
+            return None
+        v = q.numerator * pow(q.denominator, -1, P) % P
+        if v:
+            out[m] = v
+    return out
+
+
+def _tuple_directional(f, b):
+    """The derivative of f mod P along the vector b."""
+    out = {}
+    for m, v in f.items():
+        for j, e in enumerate(m):
+            if e:
+                dm = m[:j] + (e - 1,) + m[j + 1:]
+                out[dm] = (out.get(dm, 0) + b[j] * e * v) % P
+    return _TupleModP({m: v for m, v in out.items() if v})
+
+
+def _tuple_draw(rng, reduced, n, c):
+    """The next seeded c x c matrix A J B, drawn as singular._draw draws it."""
+    A = [[rng.randrange(P) for _ in reduced] for _ in range(c)]
+    Bt = [[rng.randrange(P) for _ in range(n)] for _ in range(c)]
+    combos = [_tuple_lincomb(zip(a, reduced)) for a in A]
+    return [[_tuple_directional(h, b) for b in Bt] for h in combos]
+
+
+def _tuple_normal_forms(reduced, n, D):
+    """The normal form mod P of every degree-D monomial, over the standard
+    ones, walking the monomials in ascending grevlex order."""
+    tails = []
+    for g in filter(None, reduced):
+        lm = max(g, key=GREVLEX.key)
+        inv = pow(g[lm], -1, P)
+        tails.append((lm, [(t, -v * inv % P) for t, v in g.items() if t != lm]))
+    monomials = (tuple(picks.count(i) for i in range(n))
+                 for picks in combinations_with_replacement(range(n), D))
+    table, width = {}, 0
+    for m in sorted(monomials, key=GREVLEX.key):
+        for lm, tail in tails:
+            if m_divides(lm, m):
+                b, nf = m_div(m, lm), {}
+                for t, a in tail:
+                    for j, v in table[m_mul(b, t)].items():
+                        nf[j] = nf.get(j, 0) + a * v
+                table[m] = {j: r for j, v in nf.items() if (r := v % P)}
+                break
+        else:
+            table[m], width = {width: 1}, width + 1
+    return table, width
+
+
+def reference_m_primary(gens, n, c):
+    """singular._m_primary with its arithmetic on exponent tuples: the same
+    gates, seeded draws, truncated products and rank loop, each row ranked
+    by singular._insert."""
+    if not 1 <= c <= min(len(gens), n, CERT_MAX_C):
+        return False
+    if not all(g.is_homogeneous() and g.min_degree() >= 1 for g in gens):
+        return False
+    degs = sorted(g.degree() for g in gens)
+    if degs[c - 1] == 1:
+        return False
+    low = sum(e - 1 for e in degs[:c])
+    if len(gens) + _minor_count(gens, n, c) < comb(min(degs[0], low) + n - 1,
+                                                  n - 1):
+        return False
+    if _too_wide(low, n):
+        return False
+    if c * degs[-1] > Packing(gens[0].vars, GREVLEX).max_degree:
+        return False
+    reduced = [_tuple_reduce(g) for g in gens]
+    if any(g is None for g in reduced):
+        return False
+    rng = random.Random(0)
+    entries = _tuple_draw(rng, reduced, n, c)
+    draw = _tuple_det(entries, low) or _tuple_det(entries)
+    if not draw:
+        return False
+    D = min(map(m_deg, draw))
+    if _too_wide(D, n):
+        return False
+    table, width = _tuple_normal_forms(reduced, n, D)
+    pivots = {}
+    while True:
+        row = [0] * width
+        for m, v in draw.items():
+            for j, a in table.get(m, {}).items():
+                row[j] += v * a
+        if not singular._insert(pivots, [r % P for r in row]) \
+                or len(pivots) == width:
+            return len(pivots) == width
+        draw = _tuple_det(_tuple_draw(rng, reduced, n, c), D)

@@ -9,7 +9,9 @@ in a few seconds in process.  Run as a script,
 
 it runs `analyze` in process on each named row (all rows by default) and
 prints one JSON line per row: the best of R wall times, the exit code and
-(d, mu, s).
+(d, mu, s), and the best of R times spent in the m-primary certificate
+(singular._m_primary, timed by wrapping it) with whether it fired or
+declined, or null when the row never reached it.
 """
 
 import io
@@ -20,6 +22,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from germcone import singular
 from germcone.cli import main
 from germcone.families import (family_linear_union as u, transform_embed as E,
                                transform_product as P)
@@ -64,15 +67,38 @@ def analyze(path):
 
 
 def _run(names, repeat):
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in names:
-            path = Path(tmp) / "row.ideal"
-            write_row(name, path)
-            runs = [analyze(path) for _ in range(repeat)]
-            seconds, code, dms, err = min(runs)
-            print(json.dumps({"input": name, "analyze_s": round(seconds, 3),
-                              "exit": code, "dms": dms,
-                              "error": err.strip() or None}), flush=True)
+    certificates = []       # (seconds, fired) of each certificate call
+    real = singular._m_primary
+
+    def timed(*args):
+        start = time.perf_counter()
+        fired = real(*args)
+        certificates.append((time.perf_counter() - start, fired))
+        return fired
+
+    singular._m_primary = timed
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in names:
+                path = Path(tmp) / "row.ideal"
+                write_row(name, path)
+                runs, calls = [], []
+                for _ in range(repeat):
+                    certificates.clear()
+                    runs.append(analyze(path))
+                    calls.append(list(certificates))
+                seconds, code, dms, err = min(runs)
+                cert_s = min(sum(t for t, _ in c) for c in calls)
+                decisions = {fired for c in calls for _, fired in c}
+                print(json.dumps({
+                    "input": name, "analyze_s": round(seconds, 3),
+                    "exit": code, "dms": dms,
+                    "certificate_s": round(cert_s, 4) if decisions else None,
+                    "certificate": ("fired" if True in decisions else
+                                    "declined" if decisions else None),
+                    "error": err.strip() or None}), flush=True)
+    finally:
+        singular._m_primary = real
 
 
 if __name__ == "__main__":

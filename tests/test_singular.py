@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import hilbert_function
+from oracles import hilbert_function, reference_m_primary
 
 from germcone import singular
 from germcone.cli import main
@@ -20,7 +20,7 @@ from germcone.groebner import (GREVLEX, ResourceLimitExceeded, TangentConeIdeal,
                                buchberger, tangent_cone)
 from germcone.hilbert import hilbert_series, leading_ideal
 from germcone.parser import IdealFile, format_ideal, parse_ideal
-from germcone.polyring import Polynomial
+from germcone.polyring import Packing, Polynomial
 from germcone.singular import MINOR_CAP, P, jacobian_minors, singular_dimension
 
 V3 = ("x", "y", "z")
@@ -264,10 +264,13 @@ def test_union_5332_table_has_the_cone_hilbert_function_columns():
     # The columns are the standard monomials of degree D: HF_cone(D) of
     # them, not the C(D + n - 1, n - 1) of all degree-D monomials.
     cone, n, d = _cone_n_d(family_linear_union(5, 3, 3, 2))
-    reduced = [singular._reduce(g) for g in cone.generators]
-    draw = singular._det(singular._draw(random.Random(0), reduced, n, n - d))
-    D = min(map(sum, draw))
-    table, width = singular._normal_forms(reduced, n, D)
+    packing = Packing(cone.generators[0].vars, GREVLEX)
+    reduced = [singular._reduce(g, packing.pack) for g in cone.generators]
+    steps = singular._steps(reduced, packing)
+    draw = singular._det(singular._draw(random.Random(0), reduced, n, n - d,
+                                        steps))
+    D = min(map(sum, map(packing.unpack, draw)))
+    table, width = singular._normal_forms(reduced, packing, D)
     numerator = hilbert_series(leading_ideal(cone.generators), n).numerator
     assert (D, len(table), width) == (4, comb(8, 4), 25)
     assert width == hilbert_function(numerator, n, D)
@@ -350,10 +353,10 @@ def test_certificate_declines_a_table_wider_than_the_cap(monkeypatch):
 
 def _ref_draw(rng, gens, n, c):
     """A J B as built before the draws became directional derivatives: the
-    Jacobian mod P, c x n combinations of its columns by A, then c x c
-    combinations of those by B."""
-    cols = list(zip(*[[singular._reduce(g.derivative(v)) for v in g.vars]
-                      for g in gens]))
+    Jacobian mod P on exponent tuples, c x n combinations of its columns by
+    A, then c x c combinations of those by B."""
+    cols = list(zip(*[[singular._reduce(g.derivative(v), tuple)
+                       for v in g.vars] for g in gens]))
     A = [[rng.randrange(P) for _ in gens] for _ in range(c)]
     Bt = [[rng.randrange(P) for _ in range(n)] for _ in range(c)]
     AJ = [[singular._lincomb(zip(a, col)) for col in cols] for a in A]
@@ -375,13 +378,15 @@ def test_draws_equal_the_jacobian_product(gens):
     cone, n, d = _cone_n_d(gens)
     gens = list(cone.generators)
     c = n - d
-    reduced = [singular._reduce(g) for g in gens]
+    packing = Packing(gens[0].vars, GREVLEX)
+    reduced = [singular._reduce(g, packing.pack) for g in gens]
+    steps = singular._steps(reduced, packing)
     new, ref = random.Random(0), random.Random(0)
     for _ in range(4):
-        got = singular._draw(new, reduced, n, c)
+        got = singular._draw(new, reduced, n, c, steps)
         want = _ref_draw(ref, gens, n, c)
-        assert [[dict(f) for f in row] for row in got] == \
-            [[dict(f) for f in row] for row in want]
+        assert [[{packing.unpack(m): v for m, v in f.items()} for f in row]
+                for row in got] == [[dict(f) for f in row] for row in want]
     assert new.random() == ref.random()       # the same seeded sequence
 
 
@@ -422,8 +427,8 @@ V2 = ("x0", "x1")
 X0, X1 = (Polynomial.variable(V2, v) for v in V2)
 
 
-def _ranked_rows(gens, n, c):
-    """_m_primary's decision and every row it ranks."""
+def _ranked_rows(gens, n, c, m_primary=None):
+    """The decision of _m_primary, or of m_primary, and every row it ranks."""
     rows, insert = [], singular._insert
 
     def recorded(pivots, row):
@@ -431,7 +436,7 @@ def _ranked_rows(gens, n, c):
         return insert(pivots, row)
 
     with mock.patch.object(singular, "_insert", recorded):
-        return singular._m_primary(gens, n, c), rows
+        return (m_primary or singular._m_primary)(gens, n, c), rows
 
 
 @settings(max_examples=150, deadline=None)
@@ -455,3 +460,35 @@ def test_certificate_is_sound_on_non_bases(gens):
         if fired:
             gb = buchberger(gens + jacobian_minors(gens, c), GREVLEX)
             assert hilbert_series(leading_ideal(gb.basis), n).dim_affine == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_homogeneous_cones())
+@example([X0 - X1, X0 * X1 - X1 ** 2])
+def test_packed_certificate_matches_the_tuple_reference(gens):
+    # Packing renames the monomials only: on the raw generators and on the
+    # cone basis, every c takes the decision and ranks the rows of the
+    # arithmetic on exponent tuples.
+    cone, n, _ = _cone_n_d(gens)
+    for basis in (gens, list(cone.generators)):
+        for c in range(1, min(len(basis), n, 3) + 1):
+            assert _ranked_rows(basis, n, c) == \
+                _ranked_rows(basis, n, c, reference_m_primary)
+
+
+@pytest.mark.parametrize("e, fires", [(2 ** 28, True), (2 ** 29, False)])
+def test_certificate_declines_degrees_past_the_packing(e, fires, monkeypatch):
+    # c = 2 and a sparse x^e: a whole 2 x 2 determinant reaches degree
+    # 2 (e - 1), so at e = 2^29 the guard declines, since 2 e exceeds
+    # Packing.max_degree = 2^30 - 1, before any generator is packed.  The
+    # quadrics fill degree 2 by themselves, so at e = 2^28 it fires.
+    gens = [X ** 2, Y ** 2, Z ** 2, Polynomial(V3, {(e, 0, 0): 1})]
+    assert (2 * e > Packing(V3, GREVLEX).max_degree) is not fires
+    if not fires:
+        _forbid(monkeypatch, "_reduce")
+    assert singular._m_primary(gens, 3, 2) is fires
+    monkeypatch.undo()
+    calls = _counting_buchberger(monkeypatch)
+    cone = TangentConeIdeal(vars=V3, generators=gens)
+    assert singular_dimension(cone, 3, 1) == 0
+    assert bool(calls) is not fires
