@@ -1,6 +1,7 @@
 """Jacobian-criterion singular locus of the tangent cone and its dimension."""
 
 import random
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 from math import comb, inf
 
@@ -328,22 +329,63 @@ def _m_primary(gens, n, c):
         draw = _det(_draw(rng, reduced, n, c, steps), top)
 
 
+def _strip(gens):
+    """gens without its linear generators and free variables: (rest, r, k).
+
+    A linear generator is dropped when its leading variable occurs in no
+    other generator, as every linear element of a reduced basis does; r
+    counts them.  Then every variable that occurs in none of the rest is
+    free: k counts them, and the rest is projected onto the others.
+    """
+    supports = [{i for m, _ in g.terms for i, e in enumerate(m) if e}
+                for g in gens]
+    users = Counter(i for support in supports for i in support)
+    rest = [(g, support) for g, support in zip(gens, supports)
+            if g.degree() != 1 or users[g.leading_monomial().index(1)] > 1]
+    used = set().union(*(support for _, support in rest))
+    vars = gens[0].vars
+    free = {v: 0 for i, v in enumerate(vars) if i not in used}
+    r = len(gens) - len(rest)
+    rest = [g.substitute(free) if free else g for g, _ in rest]
+    return rest, r, len(free) - r
+
+
 def singular_dimension(cone, n, d, budget=PAIR_BUDGET):
     """Dimension s of Sing of the cone scheme, -1 when it is empty.
 
     The singular ideal is the cone's generators plus the c x c minors of
-    their Jacobian, c = n - d, the expected codimension.  Before any minor
-    is built over Q, the m-primary certificate (_m_primary) may settle
-    s = 0; when it does not fire, the exact path runs unchanged.  A linear
-    cone's minors are constants, so buchberger's pre-pass keeps 1, which
-    ranks first, reduces every other generator to 0 and leaves no pair:
-    s = -1.
+    their Jacobian, c = n - d, the expected codimension.  First _strip
+    drops r linear generators and k free variables, leaving n' = n - r - k
+    variables, d' = d - k and c' = c - r; then s = s' + k, and an empty
+    locus, s' = -1, stays -1.  Before any minor is built over Q, the
+    m-primary certificate (_m_primary) may settle s' = 0; when it does not
+    fire, the exact path runs unchanged.
+
+    This holds for any generating set, not only a reduced basis.  Order the
+    columns as the remaining variables, then the dropped generators' leading
+    variables, and the rows as the remaining generators, then the dropped
+    ones.  No remaining generator holds a dropped leading variable, so the
+    Jacobian is block-triangular, [[J', 0], [*, L]]; * and L are constants,
+    and L is diagonal with a nonzero diagonal, since each dropped leading
+    variable occurs in its own generator only.  Column operations over the
+    ring keep the ideal of c x c minors (a Fitting ideal: Eisenbud,
+    Commutative Algebra, 20.2); they clear * and scale L to I_r, so
+    I_c(J) = I_c'(J').  Solving each linear generator for its leading
+    variable is an isomorphism onto the ring of the other variables, which
+    J' and the remaining generators do not touch.  A free variable's column
+    is zero, so the singular scheme is that of the rest times C^k, the
+    cylinder Sing(W x C^k) = Sing(W) x C^k.  With no generator left the
+    cone is a linear space, smooth: s = -1, with no Groebner run.
     """
     gens = list(cone.generators)
     if not gens:
         raise ValueError("singular_dimension needs at least one cone generator")
-    c = n - d
+    gens, r, k = _strip(gens)
+    if not gens:
+        return -1
+    n, c = n - r - k, n - d - r
     if _m_primary(gens, n, c):
-        return 0
+        return k
     gb = buchberger(gens + jacobian_minors(gens, c), GREVLEX, budget)
-    return hilbert_series(leading_ideal(gb.basis), n).dim_affine  # -1 for (1)
+    s = hilbert_series(leading_ideal(gb.basis), n).dim_affine  # -1 for (1)
+    return s if s < 0 else s + k

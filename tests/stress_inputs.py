@@ -11,7 +11,9 @@ it runs `analyze` in process on each named row (all rows by default) and
 prints one JSON line per row: the best of R wall times, the exit code and
 (d, mu, s), and the best of R times spent in the m-primary certificate
 (singular._m_primary, timed by wrapping it) with whether it fired or
-declined, or null when the row never reached it.
+declined, and the counts of linear generators and free variables that the
+singular stage strips (singular._strip, wrapped too); each is null when
+the row never reached it.
 """
 
 import io
@@ -68,7 +70,8 @@ def analyze(path):
 
 def _run(names, repeat):
     certificates = []       # (seconds, fired) of each certificate call
-    real = singular._m_primary
+    strips = []             # {"linear": r, "free": k} of each strip
+    real, strip = singular._m_primary, singular._strip
 
     def timed(*args):
         start = time.perf_counter()
@@ -76,7 +79,12 @@ def _run(names, repeat):
         certificates.append((time.perf_counter() - start, fired))
         return fired
 
-    singular._m_primary = timed
+    def counted(gens):
+        rest, r, k = strip(gens)
+        strips.append({"linear": r, "free": k})
+        return rest, r, k
+
+    singular._m_primary, singular._strip = timed, counted
     try:
         with tempfile.TemporaryDirectory() as tmp:
             for name in names:
@@ -85,6 +93,7 @@ def _run(names, repeat):
                 runs, calls = [], []
                 for _ in range(repeat):
                     certificates.clear()
+                    strips.clear()
                     runs.append(analyze(path))
                     calls.append(list(certificates))
                 seconds, code, dms, err = min(runs)
@@ -96,9 +105,10 @@ def _run(names, repeat):
                     "certificate_s": round(cert_s, 4) if decisions else None,
                     "certificate": ("fired" if True in decisions else
                                     "declined" if decisions else None),
+                    "stripped": strips[0] if strips else None,
                     "error": err.strip() or None}), flush=True)
     finally:
-        singular._m_primary = real
+        singular._m_primary, singular._strip = real, strip
 
 
 if __name__ == "__main__":

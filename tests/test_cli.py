@@ -176,11 +176,20 @@ def test_analyze_budget_exhaustion(worked_file):
 
 
 def test_principal_linear_cone_fits_budget_one(tmp_path, capsys):
-    # the cone skips buchberger and the singular run's pre-pass keeps the
-    # constant minor, then reduces the one cone generator with one divide
+    # the cone skips buchberger, and the singular stage strips the one
+    # linear cone generator and runs no Groebner basis
     path = tmp_path / "power40.ideal"
     path.write_text("vars x, y, z;\n(x+y+z+1)^40 - 1;\n")
     assert main(["analyze", str(path), "--budget", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["singular_dimension_s"] == -1
+
+
+def test_two_hyperplanes_fit_budget_one(tmp_path, capsys):
+    # the cone run's pre-pass makes the one reduction; the singular stage
+    # strips both linear generators and makes none
+    path = tmp_path / "planes.ideal"
+    path.write_text("vars x, y, z, w;\nx;\ny;\n")
+    assert main(["analyze", str(path), "--budget", "1"]) == 4
     assert json.loads(capsys.readouterr().out)["singular_dimension_s"] == -1
 
 

@@ -150,23 +150,12 @@ def _cone_n_d(gens):
     ("vars x, y, z, w;\nx;\ny;\n", 4, 2),
 ], ids=["power30", "two-hyperplanes"])
 def test_linear_cone_is_empty_after_no_reduction(text, n, d, monkeypatch):
-    # a linear cone's minors are constants: buchberger's pre-pass keeps 1,
-    # which ranks first, and reduces each cone generator to 0 with one
-    # divide, so no S-pair is reduced, and its Hilbert series gives s = -1
-    runs = []
-    real = singular.buchberger
-
-    def recorded(*args, **kwargs):
-        runs.append(real(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(singular, "buchberger", recorded)
+    # every generator of a linear cone is stripped, and a linear space is
+    # smooth: s = -1 with no Groebner run
     cone, n_, d_ = _cone_n_d(parse_ideal(text).generators)
     assert (n_, d_) == (n, d)
+    _forbid(monkeypatch, "buchberger")
     assert singular_dimension(cone, n, d) == -1
-    (gb,) = runs
-    assert gb.basis == [1]
-    assert gb.reductions == len(cone.generators)
 
 
 # An optional fifth entry is a transform applied to the union's generators;
@@ -290,10 +279,33 @@ def test_certificate_skips_large_minors(monkeypatch):
 
 
 def test_certificate_skips_inputs_over_minor_cap(monkeypatch):
-    # C(24, 12) minors of size 12: refused as before the certificate
+    # x_i x_(i+12) for i < 12 uses all 24 variables, so nothing is stripped:
+    # d = 12, and C(24, 12) minors of size 12 are refused as before the
+    # certificate
+    n, c = 24, 12
+    vars = tuple(f"x{i}" for i in range(n))
+    xs = [Polynomial.variable(vars, v) for v in vars]
+    gens = [xs[i] * xs[i + c] for i in range(c)]
+    assert singular._minor_count(gens, n, c) == comb(n, c) == 2704156
     _forbid(monkeypatch, "_lincomb")
     with pytest.raises(ResourceLimitExceeded):
-        singular_dimension(_squares(12, 24), 24, 12)
+        singular_dimension(TangentConeIdeal(vars=vars, generators=gens), n,
+                           n - c)
+
+
+def test_squares_in_free_variables_need_one_minor(monkeypatch):
+    # x0^2, ..., x11^2 in 24 variables: the 12 free variables are stripped,
+    # and the one 12 x 12 minor of the rest leaves the origin of C^12
+    calls = []
+    real = singular.jacobian_minors
+
+    def recorded(gens, c):
+        calls.append((len(gens[0].vars), c))
+        return real(gens, c)
+
+    monkeypatch.setattr(singular, "jacobian_minors", recorded)
+    assert singular_dimension(_squares(12, 24), 24, 12) == 12
+    assert calls == [(12, 12)]
 
 
 def test_certificate_declines_when_no_degree_can_fill(monkeypatch):
@@ -311,9 +323,9 @@ def test_certificate_declines_when_no_degree_can_fill(monkeypatch):
 
 def test_embedded_union_5332_analyze_takes_the_certificate(tmp_path,
                                                            monkeypatch):
-    # The linear generator's leading variable is in no standard monomial,
-    # so the draws fill the columns alone; without the certificate 8159 Q
-    # minors and a Buchberger run follow.
+    # The linear generator is stripped, and the certificate fires on the
+    # union itself; without the strip and the certificate 8159 Q minors and
+    # a Buchberger run would follow.
     gens = transform_embed(family_linear_union(5, 3, 3, 2))
     ideal, out = tmp_path / "e.ideal", tmp_path / "e.json"
     ideal.write_text(format_ideal(IdealFile(vars=gens[0].vars,
@@ -323,19 +335,29 @@ def test_embedded_union_5332_analyze_takes_the_certificate(tmp_path,
     assert dms == (3, 1, 0)
 
 
-def test_certificate_declines_a_table_wider_than_the_cap(monkeypatch):
-    # (x0, x1, x2)^3 in 8 variables: d = 5, c = 3, and the minors start in
-    # degree 6, whose C(13, 7) = 1716 monomials make a table of up to
-    # 1716^2 > 10^6 residues.  The count gate alone would pass.
-    n, k, e = 8, 3, 3
+def _cubes(n, k):
+    """(x0, ..., x(k-1))^3 in n variables: d = n - k, c = k."""
     vars = tuple(f"x{i}" for i in range(n))
     xs = [Polynomial.variable(vars, v) for v in vars[:k]]
     gens = []
-    for picks in combinations_with_replacement(range(k), e):
+    for picks in combinations_with_replacement(range(k), 3):
         g = xs[picks[0]]
         for i in picks[1:]:
             g = g * xs[i]
         gens.append(g)
+    return TangentConeIdeal(vars=vars, generators=gens)
+
+
+def test_certificate_declines_a_table_wider_than_the_cap(monkeypatch):
+    # x0^3, x1^3, x2^3, x0 x3 x4, x1 x5 x6, x2 x7 x3 use all 8 variables, so
+    # nothing is stripped: d = 5, c = 3, and the minors start in degree 6,
+    # whose C(13, 7) = 1716 monomials make a table of up to 1716^2 > 10^6
+    # residues.  The count gate alone would pass.
+    n, k, e = 8, 3, 3
+    vars = tuple(f"x{i}" for i in range(n))
+    monos = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 3, 4), (1, 5, 6), (2, 7, 3)]
+    gens = [Polynomial(vars, {tuple(m.count(i) for i in range(n)): 1})
+            for m in monos]
     low = k * (e - 1)
     assert comb(low + n - 1, n - 1) ** 2 > 10 ** 6
     assert len(gens) + singular._minor_count(gens, n, k) >= comb(e + n - 1,
@@ -346,7 +368,25 @@ def test_certificate_declines_a_table_wider_than_the_cap(monkeypatch):
     assert singular._m_primary(gens, n, k) is False
     s = singular_dimension(cone, n, n - k)
     monkeypatch.setattr(singular, "_m_primary", lambda *_: False)
-    assert s == singular_dimension(cone, n, n - k) == 5
+    # on x0 = x1 = x2 = 0 the only minor left is x3^2 x4 x5 x6 x7, so Sing
+    # is a union of hyperplanes of C^5
+    assert s == singular_dimension(cone, n, n - k) == 4
+
+
+def test_cubes_in_free_variables_fire_the_certificate(monkeypatch):
+    # (x0, x1, x2)^3 in 8 variables: the 5 free variables are stripped, and
+    # the certificate fires on the 3 others, where the table is narrow
+    calls = []
+    real = singular._m_primary
+
+    def recorded(gens, n, c):
+        calls.append((n, c, real(gens, n, c)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(singular, "_m_primary", recorded)
+    _forbid(monkeypatch, "buchberger")
+    assert singular_dimension(_cubes(8, 3), 8, 5) == 5
+    assert calls == [(3, 3, True)]
 
 
 # --- the certificate's draws against the Jacobian product they stand for ---
@@ -421,6 +461,77 @@ def test_fired_certificate_means_s_zero(gens):
         return
     with mock.patch.object(singular, "_m_primary", lambda *_: False):
         assert singular_dimension(cone, n, d) == 0
+
+
+def _compose(g, images):
+    """g with each variable replaced by its image, a linear form."""
+    out = Polynomial(g.vars, {})
+    for m, c in g.terms:
+        term = Polynomial.constant(g.vars, c)
+        for image, e in zip(images, m):
+            if e:
+                term = term * image ** e
+        out = out + term
+    return out
+
+
+@st.composite
+def transformed_cones(draw):
+    """A small cone's generators after one E or P transform, and the kind.
+
+    The new coordinate t may then be mixed with the old ones by a unit
+    triangular change: x_i -> x_i + a_i t, which hides P's free direction
+    (kind "P-hidden") and makes E's other generators hold t, or
+    t -> t + sum a_i x_i, which makes E's linear generator no coordinate.
+    """
+    gens = draw(small_homogeneous_cones())
+    kind = draw(st.sampled_from(["E", "P"]))
+    gens = (transform_embed if kind == "E" else transform_product)(gens)
+    xs = [Polynomial.variable(gens[0].vars, v) for v in gens[0].vars]
+    *old, t = xs
+    a = draw(st.lists(st.integers(-2, 2), min_size=len(old),
+                      max_size=len(old)))
+    mix = draw(st.sampled_from(["none", "t into old", "old into t"]))
+    if mix == "t into old":
+        images = [x + ai * t for x, ai in zip(old, a)] + [t]
+        kind += "-hidden" if kind == "P" and any(a) else ""
+    elif mix == "old into t":
+        images = old + [sum((ai * x for ai, x in zip(a, old)), t)]
+    else:
+        return gens, kind
+    return [_compose(g, images) for g in gens], kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(transformed_cones())
+def test_strip_never_changes_s(case):
+    # An E transform leaves a linear element in the reduced cone basis, and a
+    # P transform a free variable unless the change hides it; either way s
+    # must equal the value computed on the whole input.  The raw generators
+    # are homogeneous, so they generate the cone too, though not as a
+    # reduced basis: there a linear generator may share its leading variable.
+    gens, kind = case
+    cone, n, d = _cone_n_d(gens)
+    strips, strip = [], singular._strip
+
+    def recorded(gens):
+        strips.append(strip(gens))
+        return strips[-1]
+
+    for basis in (cone, TangentConeIdeal(vars=cone.vars, generators=gens)):
+        with mock.patch.object(singular, "_strip", recorded):
+            s = singular_dimension(basis, n, d)
+        with mock.patch.object(singular, "_strip", lambda gens: (gens, 0, 0)):
+            try:
+                whole = singular_dimension(basis, n, d)
+            except ResourceLimitExceeded:
+                continue
+        assert s == whole
+    (_, r, k) = strips[0]                       # the cone basis's
+    if kind == "E":
+        assert r >= 1
+    elif kind == "P":
+        assert k >= 1
 
 
 V2 = ("x0", "x1")
