@@ -15,6 +15,7 @@ from .groebner import CELL_BUDGET, ResourceLimitExceeded
 
 _EPS = 2.220446049250313e-16
 _MAX_DEPTH = 24
+_KEY_DEPTH = 31     # the deepest level whose keys ix * 2^depth + iy fit int64
 _BLOCK = 1 << 15    # cells per enclosure sweep; bounds its temporaries
 _AUTO_BASE = 4      # first level that `auto` counts
 
@@ -151,7 +152,7 @@ def _depth_for(width, height, resolution):
     depth = 0
     while max(width, height) / 2 ** depth > resolution:
         depth += 1
-        if depth > 40:
+        if depth > _KEY_DEPTH:
             raise ValueError("resolution too fine")
     return depth
 

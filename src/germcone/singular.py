@@ -11,7 +11,10 @@ from .polyring import Packing
 
 MINOR_CAP = 10 ** 5
 P = 2 ** 31 - 1     # the certificate's prime, fixed so that runs repeat
-CERT_MAX_C = 3      # a dense c x c cofactor expansion costs c! products
+# The certificate's first draw is a dense c x c expansion, and each round's c
+# cofactors are dense (c-1) x (c-1) ones: c! products either way, which the
+# round shares among all its rows.  No input has needed c = 4 yet.
+CERT_MAX_C = 3
 
 
 def _det(rows, top=None):
@@ -167,8 +170,50 @@ def _draw(rng, reduced, n, c, steps):
     """
     A = [[rng.randrange(P) for _ in reduced] for _ in range(c)]
     Bt = [[rng.randrange(P) for _ in range(n)] for _ in range(c)]
+    return _product(A, Bt, reduced, steps)
+
+
+def _product(A, Bt, reduced, steps):
+    """The matrix A J B mod P, from the rows of A and the columns of B."""
     combos = [_lincomb(zip(a, reduced)) for a in A]
     return [[_directional(h, b, steps) for b in Bt] for h in combos]
+
+
+def _sweep(rng, reduced, n, c, steps, D, shift, nf):
+    """The packed rows (_packed) of one round, one per generator, in order.
+
+    Draws rows 2..c of A, then B, and builds the cofactors C_l once: the
+    (c-1) x (c-1) minors of those rows of A J B without column l, truncated
+    at degree D (C = 1 when c = 1).  The row of g is the normal form of the
+    degree-D part of sum_l (-1)^l (d_{b_l} g) C_l, which is det(A' J B),
+    A' = [e_g; a_2; ...; a_c], expanded along its first row.
+
+    nf maps each degree-D monomial to its normal form, packed.  The normal
+    form is linear, so the row of mu times C_l's part of degree D - deg mu
+    is summed once for each monomial mu of a derivative and each l; the row
+    of a generator monomial m sums those over m's derivatives, and the row
+    of g is sum g_m row(m).  A column of it sums at most len(g) * n * c * N
+    products of four residues, N the degree-D monomials, before it is
+    reduced mod P.
+    """
+    A = [[rng.randrange(P) for _ in reduced] for _ in range(c - 1)]
+    Bt = [[rng.randrange(P) for _ in range(n)] for _ in range(c)]
+    rest, top = _product(A, Bt, reduced, steps), (D + 1) << shift
+    parts = []                                  # each C_l's terms by degree
+    for l in range(c):
+        minor = [r[:l] + r[l + 1:] for r in rest]
+        part = {}
+        for m, v in (_det(minor, top) if minor else {0: 1}).items():
+            part.setdefault(m >> shift, []).append((m, v))
+        parts.append(part)
+    shared = {(mu, l): sum(v * nf[mu + m] for m, v in
+                           part.get(D - (mu >> shift), ()))
+              for mu in {dm for d in steps.values() for _, _, dm in d}
+              for l, part in enumerate(parts)}
+    rows = {m: sum((-1) ** l * e * b[j] % P * shared[dm, l]
+                   for j, e, dm in d for l, b in enumerate(Bt))
+            for m, d in steps.items()}
+    return [sum(v * rows[m] for m, v in g.items()) for g in reduced]
 
 
 def _too_wide(D, n):
@@ -182,7 +227,7 @@ def _units(packing):
     return [(1 << s) + (1 << packing.deg_shift) for s in packing.shifts]
 
 
-def _normal_forms(reduced, packing, D):
+def _normal_forms(reduced, packing, D, slot):
     """The normal form mod P of every degree-D monomial, over the standard ones.
 
     Walks the degree-D monomials in ascending grevlex order.  One that no
@@ -191,7 +236,8 @@ def _normal_forms(reduced, packing, D):
     -sum (t / lc g) NF(x^b t) over the tail terms t of g; each x^b t is
     smaller, so already in the table.  lm and lc are those of the residues
     mod P, and a generator that vanishes mod P is left out.  Returns the
-    table, {packed monomial: {column: residue}}, and the number of columns.
+    table, {packed monomial: row packed slot bytes a column (_packed)}, and
+    the number of columns.
     """
     key, guard, units = packing.key, packing.guard, _units(packing)
     tails = []
@@ -206,32 +252,67 @@ def _normal_forms(reduced, packing, D):
         for lm, tail in tails:
             b = m - lm
             if not b & guard:                   # lm divides m, m = x^b lm
-                nf = {}
-                for t, a in tail:
-                    for j, v in table[b + t].items():
-                        nf[j] = nf.get(j, 0) + a * v
-                table[m] = {j: r for j, v in nf.items() if (r := v % P)}
+                nf = sum(a * table[b + t] for t, a in tail)
+                table[m] = _packed(_residues(nf, slot, width), slot)
                 break
         else:
-            table[m], width = {width: 1}, width + 1
+            table[m], width = 1 << 8 * slot * width, width + 1
     return table, width
 
 
-def _insert(pivots, row):
-    """Reduce a dense row in one forward sweep; keep it if nonzero.
+def _slot(reduced, n, c, D):
+    """The bytes a column of a packed row needs.
 
-    pivots maps a lead position to the monic tail of its row from there on.
+    The largest sum a column takes is a row of _sweep's: at most
+    max len(g) * n * c * N products of four residues, N the degree-D
+    monomials.  _normal_forms sums fewer products of two.
     """
-    for j in range(len(row)):
-        a = row[j]
-        if not a:
-            continue
-        pivot = pivots.get(j)
-        if pivot is None:
-            inv = pow(a, -1, P)
-            pivots[j] = [v * inv % P for v in row[j:]]
-            return True
-        row[j:] = [(r - a * p) % P for r, p in zip(row[j:], pivot)]
+    most = max(map(len, reduced)) * n * c * comb(D + n - 1, n - 1)
+    return (most * P ** 4).bit_length() // 8 + 1
+
+
+def _packed(residues, slot):
+    """A dense row packed into one int, column j in bytes j*slot.. of it.
+
+    Sums and scalar multiples of packed rows act on every column at once,
+    so long as no column's sum reaches 2^(8 slot).
+    """
+    return int.from_bytes(b"".join(v.to_bytes(slot, "little")
+                                   for v in residues), "little")
+
+
+def _residues(x, slot, width):
+    """The first width columns of the packed row x, reduced mod P."""
+    data = x.to_bytes(slot * width, "little")
+    return [int.from_bytes(data[i:i + slot], "little") % P
+            for i in range(0, len(data), slot)]
+
+
+def _insert(pivots, row):
+    """Reduce a dense row of residues in one forward pass; keep it if nonzero.
+
+    pivots maps a lead position j to the monic tail of its row from j on,
+    packed (_packed) with column j in the lowest slot.  The row is packed
+    the same way and loses its lowest slot at each step, so that slot is
+    always the next column; a step adds less than P^2 to a column, so a slot
+    never fills.
+    """
+    width = len(row)
+    slot = (width * P * P).bit_length() // 8 + 1
+    bits = 8 * slot
+    low = (1 << bits) - 1
+    x = _packed(row, slot)
+    for j in range(width):
+        a = (x & low) % P
+        if a:
+            pivot = pivots.get(j)
+            if pivot is None:
+                inv = pow(a, -1, P)
+                pivots[j] = _packed([v * inv % P for v in
+                                     _residues(x, slot, width - j)], slot)
+                return True
+            x += (P - a) * pivot
+        x >>= bits
     return False
 
 
@@ -243,15 +324,32 @@ def _m_primary(gens, n, c):
     the generators along c directions, so it is a combination of minors and,
     the ideal being homogeneous, so is each of its homogeneous components.
     The degree-D monomials get normal forms modulo the generators over the
-    standard ones (_normal_forms), and the degree-D part of each draw, put
-    in normal form, is one dense row over the standard monomials.  Draws are
-    ranked until one adds no rank; the test fires when the rank equals the
-    number of standard monomials.  A draw's products keep only their terms
-    of degree at most D (_det with top (D + 1) << deg_shift), and the first
-    draw's those of degree at most low, the lowest degree of a minor, where
-    its lowest degree D generically lies; only when nothing is left is it
-    multiplied out in full.  Those terms are exact, so every row and every
+    standard ones (_normal_forms), and the degree-D part of the draw, put
+    in normal form, is one dense row over the standard monomials.  The first
+    draw's products keep only their terms of degree at most low, the lowest
+    degree of a minor, where its lowest degree D generically lies; only
+    when nothing is left is it multiplied out in full.
+
+    Then rounds (_sweep) sweep every generator g through one draw.
+    det(A J B) is linear in A's first row: with rows 2..c of A and all of B
+    drawn anew, the Laplace expansion along that row makes det(A' J B),
+    A' = [e_g; a_2; ...; a_c], the sum over l of (-1)^l (d_{b_l} g) C_l,
+    with the same c cofactors C_l for every g.  By Cauchy-Binet,
+    det(A' J B) = sum over c-sets S, T of det A'_S det J_ST det B_T, a
+    constant combination of c x c minors, as a draw is; so each generator's
+    row is the normal form of the degree-D part of an element of the ideal.
+    Rounds run until one adds no rank, and the test fires when the rank
+    equals the number of standard monomials.  A round costs the c cofactors,
+    (c-1)! truncated products each, and one sum over a cofactor's terms for
+    each monomial of a derivative and each l; every row is then a sum of
+    those shared rows, and on the unions nearly every row adds a rank where
+    a draw added one.  The cofactors keep only their terms of degree at
+    most D, and a row reads only terms of degree D, so every row and every
     decision is that of the whole determinants.
+
+    Dense rows are packed into one int each (_packed), so a sum of rows is
+    one int operation per term; a column is reduced mod P only when a row
+    is ranked (_insert).
 
     The arithmetic runs on the grevlex Packing of the generators' monomials:
     a product is an int add, a degree E >> deg_shift, a divisibility test
@@ -262,9 +360,10 @@ def _m_primary(gens, n, c):
 
     It is sound whether or not gens is a Groebner basis.  Lift every mod-P
     step to Z_(P): each x - NF(x), x not standard, is an element of the
-    ideal with a pivot at x, and each row is the degree-D part of its draw,
-    which the truncated products leave exact and which is in the ideal, the
-    ideal being homogeneous, minus multiples of the generators.  Together
+    ideal with a pivot at x, and each row is the degree-D part of its
+    determinant, det(A J B) or det(A' J B), which the truncated products
+    leave exact and which is in the ideal, the ideal being homogeneous,
+    minus multiples of the generators.  Together
     they make an N x N matrix mod P, N = C(D+n-1, n-1), that is
     block-triangular: the identity on the non-standard columns, and the
     ranked rows on the standard ones.  A rank mod P never exceeds the
@@ -316,17 +415,21 @@ def _m_primary(gens, n, c):
     D = packing.degree(min(draw))
     if _too_wide(D, n):
         return False
-    table, width = _normal_forms(reduced, packing, D)
-    top = (D + 1) << shift
+    slot = _slot(reduced, n, c, D)
+    table, width = _normal_forms(reduced, packing, D, slot)
     pivots = {}
-    while True:
-        row = [0] * width
-        for m, v in draw.items():
-            for j, a in table.get(m, {}).items():
-                row[j] += v * a
-        if not _insert(pivots, [r % P for r in row]) or len(pivots) == width:
-            return len(pivots) == width     # the rank is at most width
-        draw = _det(_draw(rng, reduced, n, c, steps), top)
+    if width and not _insert(pivots, _residues(
+            sum(v * table.get(m, 0) for m, v in draw.items()), slot, width)):
+        return False
+    while len(pivots) < width:
+        rank = len(pivots)
+        for row in _sweep(rng, reduced, n, c, steps, D, shift, table):
+            if _insert(pivots, _residues(row, slot, width)) \
+                    and len(pivots) == width:
+                return True
+        if len(pivots) == rank:
+            return False                    # the round added no rank
+    return True
 
 
 def _strip(gens):

@@ -307,6 +307,31 @@ def _tuple_draw(rng, reduced, n, c):
     return [[_tuple_directional(h, b) for b in Bt] for h in combos]
 
 
+def _tuple_sweep(rng, reduced, n, c, D, table, width):
+    """The rows of one round, drawn as singular._sweep draws it: for each
+    generator g, the degree-D part of sum_l (-1)^l (d_{b_l} g) C_l, each
+    product multiplied out, put in normal form through the table."""
+    A = [[rng.randrange(P) for _ in reduced] for _ in range(c - 1)]
+    Bt = [[rng.randrange(P) for _ in range(n)] for _ in range(c)]
+    combos = [_tuple_lincomb(zip(a, reduced)) for a in A]
+    rest = [[_tuple_directional(h, b) for b in Bt] for h in combos]
+    cofactors = [_tuple_det([r[:l] + r[l + 1:] for r in rest], D) if rest
+                 else _TupleModP({(0,) * n: 1}) for l in range(c)]
+    return [_tuple_row(_tuple_lincomb(
+        [((-1) ** l, _tuple_mul(_tuple_directional(g, b), C, D))
+         for l, (b, C) in enumerate(zip(Bt, cofactors))]), table, width)
+        for g in reduced]
+
+
+def _tuple_row(f, table, width):
+    """The normal form of f's terms in the table, a dense row mod P."""
+    row = [0] * width
+    for m, v in f.items():
+        for j, a in table.get(m, {}).items():
+            row[j] += v * a
+    return [r % P for r in row]
+
+
 def _tuple_normal_forms(reduced, n, D):
     """The normal form mod P of every degree-D monomial, over the standard
     ones, walking the monomials in ascending grevlex order."""
@@ -334,8 +359,10 @@ def _tuple_normal_forms(reduced, n, D):
 
 def reference_m_primary(gens, n, c):
     """singular._m_primary with its arithmetic on exponent tuples: the same
-    gates, seeded draws, truncated products and rank loop, each row ranked
-    by singular._insert."""
+    gates, seeded first draw and rounds, truncated products and rank loop,
+    each row ranked by singular._insert.  A round's rows multiply each
+    generator's derivatives by the cofactors, where _sweep sums shared
+    normal-form rows."""
     if not 1 <= c <= min(len(gens), n, CERT_MAX_C):
         return False
     if not all(g.is_homogeneous() and g.min_degree() >= 1 for g in gens):
@@ -364,12 +391,13 @@ def reference_m_primary(gens, n, c):
         return False
     table, width = _tuple_normal_forms(reduced, n, D)
     pivots = {}
-    while True:
-        row = [0] * width
-        for m, v in draw.items():
-            for j, a in table.get(m, {}).items():
-                row[j] += v * a
-        if not singular._insert(pivots, [r % P for r in row]) \
-                or len(pivots) == width:
-            return len(pivots) == width
-        draw = _tuple_det(_tuple_draw(rng, reduced, n, c), D)
+    if width and not singular._insert(pivots, _tuple_row(draw, table, width)):
+        return False
+    while len(pivots) < width:
+        rank = len(pivots)
+        for row in _tuple_sweep(rng, reduced, n, c, D, table, width):
+            if singular._insert(pivots, row) and len(pivots) == width:
+                return True
+        if len(pivots) == rank:
+            return False
+    return True

@@ -2,8 +2,8 @@
 product (P) and embedding (E) transforms.
 
 ROWS maps each input, named as ROADMAP.md's stress table names it, to a
-builder of its generators; tests/test_stress.py runs the rows that finish
-in a few seconds in process.  Run as a script,
+builder of its generators; tests/test_stress.py runs every row in process.
+Run as a script,
 
     PYTHONPATH=src python tests/stress_inputs.py [--repeat R] [NAME ...]
 
@@ -11,9 +11,10 @@ it runs `analyze` in process on each named row (all rows by default) and
 prints one JSON line per row: the best of R wall times, the exit code and
 (d, mu, s), and the best of R times spent in the m-primary certificate
 (singular._m_primary, timed by wrapping it) with whether it fired or
-declined, and the counts of linear generators and free variables that the
-singular stage strips (singular._strip, wrapped too); each is null when
-the row never reached it.
+declined, the rows it ranked and the rank they reached (singular._insert,
+counted by wrapping it), and the counts of linear generators and free
+variables that the singular stage strips (singular._strip, wrapped too);
+each is null when the row never reached it.
 """
 
 import io
@@ -71,7 +72,8 @@ def analyze(path):
 def _run(names, repeat):
     certificates = []       # (seconds, fired) of each certificate call
     strips = []             # {"linear": r, "free": k} of each strip
-    real, strip = singular._m_primary, singular._strip
+    ranked = []             # whether each row ranked added a rank
+    real, strip, insert = singular._m_primary, singular._strip, singular._insert
 
     def timed(*args):
         start = time.perf_counter()
@@ -84,7 +86,12 @@ def _run(names, repeat):
         strips.append({"linear": r, "free": k})
         return rest, r, k
 
+    def recorded(pivots, row):
+        ranked.append(insert(pivots, row))
+        return ranked[-1]
+
     singular._m_primary, singular._strip = timed, counted
+    singular._insert = recorded
     try:
         with tempfile.TemporaryDirectory() as tmp:
             for name in names:
@@ -94,6 +101,7 @@ def _run(names, repeat):
                 for _ in range(repeat):
                     certificates.clear()
                     strips.clear()
+                    ranked.clear()
                     runs.append(analyze(path))
                     calls.append(list(certificates))
                 seconds, code, dms, err = min(runs)
@@ -105,10 +113,13 @@ def _run(names, repeat):
                     "certificate_s": round(cert_s, 4) if decisions else None,
                     "certificate": ("fired" if True in decisions else
                                     "declined" if decisions else None),
+                    "rows_ranked": len(ranked) if decisions else None,
+                    "rank": sum(ranked) if decisions else None,
                     "stripped": strips[0] if strips else None,
                     "error": err.strip() or None}), flush=True)
     finally:
         singular._m_primary, singular._strip = real, strip
+        singular._insert = insert
 
 
 if __name__ == "__main__":

@@ -270,6 +270,18 @@ def test_rejects_absurd_resolution():
         count_components(spec(CIRCLE, (-2, 2, -2, 2), Fraction(1, 2 ** 50)))
 
 
+def test_deepest_key_level_counts_and_the_next_is_refused():
+    # two isolated real points; the box is 2 wide, so resolution 2^-30 is
+    # depth 31, whose keys ix * 2^31 + iy still fit an int64.  At depth 33
+    # the keys wrapped, and the two points counted 1.
+    f = (X ** 2 + Y ** 2) * ((X - Fraction(1, 2)) ** 2 + Y ** 2)
+    box = (-1, 1, -1, 1)
+    assert count_components(spec(f, box, Fraction(1, 2 ** 30))).count == 2
+    for depth in (32, 33):
+        with pytest.raises(ValueError, match="resolution too fine"):
+            count_components(spec(f, box, Fraction(2, 2 ** depth)))
+
+
 # --- adjacency ---
 
 def _bfs_count(cells):

@@ -259,7 +259,8 @@ def test_union_5332_table_has_the_cone_hilbert_function_columns():
     draw = singular._det(singular._draw(random.Random(0), reduced, n, n - d,
                                         steps))
     D = min(map(sum, map(packing.unpack, draw)))
-    table, width = singular._normal_forms(reduced, packing, D)
+    table, width = singular._normal_forms(
+        reduced, packing, D, singular._slot(reduced, n, n - d, D))
     numerator = hilbert_series(leading_ideal(cone.generators), n).numerator
     assert (D, len(table), width) == (4, comb(8, 4), 25)
     assert width == hilbert_function(numerator, n, D)
@@ -395,10 +396,15 @@ def _ref_draw(rng, gens, n, c):
     """A J B as built before the draws became directional derivatives: the
     Jacobian mod P on exponent tuples, c x n combinations of its columns by
     A, then c x c combinations of those by B."""
-    cols = list(zip(*[[singular._reduce(g.derivative(v), tuple)
-                       for v in g.vars] for g in gens]))
     A = [[rng.randrange(P) for _ in gens] for _ in range(c)]
     Bt = [[rng.randrange(P) for _ in range(n)] for _ in range(c)]
+    return _jacobian_product(A, Bt, gens, tuple)
+
+
+def _jacobian_product(A, Bt, gens, key):
+    """A J B from the Jacobian of gens mod P, its monomials keyed by key."""
+    cols = list(zip(*[[singular._reduce(g.derivative(v), key)
+                       for v in g.vars] for g in gens]))
     AJ = [[singular._lincomb(zip(a, col)) for col in cols] for a in A]
     return [[singular._lincomb(zip(b, row)) for b in Bt] for row in AJ]
 
@@ -428,6 +434,49 @@ def test_draws_equal_the_jacobian_product(gens):
         assert [[{packing.unpack(m): v for m, v in f.items()} for f in row]
                 for row in got] == [[dict(f) for f in row] for row in want]
     assert new.random() == ref.random()       # the same seeded sequence
+
+
+@pytest.mark.parametrize("gens", [
+    parse_ideal(WORKED).generators,
+    family_linear_union(5, 3, 3, 2),
+    transform_embed(parse_ideal(WORKED).generators),
+    family_linear_union(4, 3, 3, 2),
+    family_linear_union(5, 2, 4, 1),
+], ids=["worked", "union5332", "embed-worked", "union4332", "union5241"])
+def test_sweep_rows_are_determinants_with_a_unit_first_row(gens):
+    # A round draws rows 2..c of A and then B; the row of generator i is the
+    # normal form of the degree-D part of det(A' J B), A' = [e_i; a_2; ...;
+    # a_c], here multiplied out whole from the Jacobian.  c = 2, 2, 3, 1 and
+    # 3; the worked cones' rows are 0 (their degree-D minors lie in the cone
+    # ideal, so the certificate declines there), the unions' are not.
+    cone, n, d = _cone_n_d(gens)
+    gens = list(cone.generators)
+    c = n - d
+    packing = Packing(gens[0].vars, GREVLEX)
+    reduced = [singular._reduce(g, packing.pack) for g in gens]
+    steps = singular._steps(reduced, packing)
+    rng = random.Random(0)
+    draw = singular._det(singular._draw(rng, reduced, n, c, steps))
+    D = packing.degree(min(draw))
+    slot = singular._slot(reduced, n, c, D)
+    table, width = singular._normal_forms(reduced, packing, D, slot)
+    for _ in range(2):
+        ref = random.Random()
+        ref.setstate(rng.getstate())
+        rows = singular._sweep(rng, reduced, n, c, steps, D,
+                               packing.deg_shift, table)
+        A = [[ref.randrange(P) for _ in gens] for _ in range(c - 1)]
+        Bt = [[ref.randrange(P) for _ in range(n)] for _ in range(c)]
+        assert len(rows) == len(gens)
+        for i, row in enumerate(rows):
+            unit = [int(k == i) for k in range(len(gens))]
+            det = singular._det(_jacobian_product([unit] + A, Bt, gens,
+                                                  packing.pack))
+            want = sum(v * table[m] for m, v in det.items()
+                       if packing.degree(m) == D)
+            assert singular._residues(row, slot, width) == \
+                singular._residues(want, slot, width)
+        assert rng.random() == ref.random()
 
 
 # --- soundness: a fired certificate always means s = 0 ---
