@@ -92,7 +92,7 @@ def interval_eval(f, cell):
         raise ValueError(f"reversed cell {cell}")
     cx = np.array([float(x0) + 0.5 * wx])
     cy = np.array([float(y0) + 0.5 * wy])
-    lo, hi = _Encloser(f)(cx, cy, wx, wy)
+    lo, hi, _, _ = _Encloser(f)(cx, cy, wx, wy)
     return float(lo[0]), float(hi[0])
 
 

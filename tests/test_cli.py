@@ -276,8 +276,9 @@ def test_betti0_circle(circle_file, capsys, tmp_path):
     assert capsys.readouterr().out == "1\n"
     lines = csv.read_text().splitlines()
     assert lines[0] == "cx,cy,wx,wy"
-    # header plus one row per boundary cell kept at this resolution
-    assert len(lines) == 533
+    # header plus one row per leaf: 532 rows of the finest cells on the
+    # uniform grid, 60 of mixed widths with certified leaves
+    assert len(lines) == 61
 
 
 def test_betti0_with_fix(tmp_path, capsys):
