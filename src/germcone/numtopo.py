@@ -104,27 +104,34 @@ class _Sums:
         coeffs = np.zeros((len(polys), len(outer), len(inner)))
         for k, o, i, c in terms:
             coeffs[k, outer[o], inner[i]] = c
-        self.coeffs = coeffs.reshape(-1, len(inner))
+        self.coeffs = coeffs.reshape(len(polys) * len(outer), len(inner))
+        self.count = len(polys)
 
     def __call__(self, px, py, count=None):
         """The first count polynomials (all by default) at the points whose
         power tables (from _powers) are px and py, one row each."""
         if self.swap:
             px, py = py, px
-        rows = self.coeffs
-        if count is not None:
-            rows = rows[:count * len(self.outer)]
-        out = (rows @ px[self.inner]).reshape(-1, len(self.outer), px.shape[1])
+        count = self.count if count is None else count
+        rows = self.coeffs[:count * len(self.outer)]
+        out = (rows @ px[self.inner]).reshape(count, len(self.outer),
+                                              px.shape[1])
         out *= py[self.outer]
         return out.sum(axis=1)
 
 
 class _Encloser:
-    """Second-order centered form for one 2-variable polynomial.
+    """Centred forms for one 2-variable polynomial: a second-order one
+    encloses f on a cell, and a third-order one on its gradient certifies
+    the cell.
 
     abs-coefficient sups of the first derivatives are useless here (the
     acceptance curves live where huge monomials cancel), so the gradient is
-    evaluated at the center and its variation bounded via second derivatives.
+    evaluated at the center and its variation bounded via second
+    derivatives.  The enclosure bounds those by their abs sums B at
+    (ax, ay) = (|cx| + wx/2, |cy| + wy/2).  The certificate evaluates them
+    at the center too, and bounds their variation by the abs sums T of the
+    third derivatives at (ax, ay).
 
     The polynomial, its derivatives and their abs-coefficient forms are
     summed by _Sums.  For f of total degree D, degrees deg_x and deg_y and
@@ -134,7 +141,9 @@ class _Encloser:
     matrix product adds, one for the product with the outer power and at
     most the other degree for the outer sum, one for the coefficient's
     conversion from a Fraction, and a derivative's coefficient one more
-    per order.  So each computed sum is within
+    per order.  A derivative's exponents sum to its order less, so this
+    count holds for derivatives of every order, the third ones included.
+    So each computed sum is within
     gamma(D + deg_x + deg_y + 3) * sum |c| |x|^i |y|^j of the exact one,
     where gamma(n) = n u / (1 - n u) and u = _EPS / 2.
     The errors of v and of wx/2 * f_x and wy/2 * f_y at the center are
@@ -143,19 +152,34 @@ class _Encloser:
     slack_scale = max(4k + 16, D + deg_x + deg_y + 3) * _EPS covers them
     twice over, which leaves room for the rounding of ax, ay, of the slack
     sum itself and of v -+ r.  4k + 16 is the larger unless the degrees
-    are large for the number of terms.  The bounds on the second
-    derivatives sum positive terms, so their relative error stays far
-    below the 1e-12 widening of r.
+    are large for the number of terms.  The B and T sum positive terms,
+    so their relative error stays far below the 1e-12 widening of r.
 
-    A cell is certified when |f_x(c)| exceeds the variation bound
-    V_x = wx/2 * B_xx + wy/2 * B_xy of f_x on it, the B being the abs sums
-    of the second derivatives at (ax, ay), and the same holds for f_y.  The
+    With hx = wx/2 and hy = wy/2, a cell is certified when |f_x(c)|
+    exceeds V_x = hx * G_xx + hy * G_xy and |f_y(c)| exceeds
+    V_y = hx * G_xy + hy * G_yy, where
+    G_xx = min(B_xx, |f_xx(c)| + hx * T_xxx + hy * T_xxy), and G_xy and
+    G_yy likewise.  By the mean value theorem each G bounds its second
+    derivative on the cell, so V_x bounds |f_x - f_x(c)| there.  The B
+    stay in the minimum because neither bound is always the smaller: on
+    x^20 + y^2 - 1/1000 the T alone certify fewer cells than the B.  The
     computed f_x(c) is within gamma(D + deg_x + deg_y + 3) *
     sum |i c| |cx|^(i-1) |cy|^j of the exact one, and since i <= deg_x and
     ax >= wx/2 > 0 that sum is at most deg_x / ax * sum |c| ax^i ay^j:
-    slack * deg_x / ax covers it twice over, with no extra sum.  V_x widens
-    by the same 1e-12.  On a certified cell f is strictly monotone along
-    every horizontal and vertical segment, so its extremes sit at corners.
+    slack * deg_x / ax covers it twice over, with no extra sum.  In the
+    same way f_xx(c) carries slack * deg_x (deg_x - 1) / ax^2, f_xy(c)
+    slack * deg_x deg_y / (ax ay) and f_yy(c) slack * deg_y (deg_y - 1) /
+    ay^2, and the h widen by the same 1e-12.
+
+    The enclosure radius r keeps the B, so which cells are dropped does not
+    depend on the certificate.  With the G in r, g(4) at z = 1/2 counted
+    12 components at its benchmark resolution, where finer ones count 8:
+    the tighter r dropped the kept cells that joined a lone uncertified
+    cell near the tip of a thin band (|f| about 1e-10 on a cell 1.9e-5
+    wide) to the curve.
+
+    On a certified cell f is strictly monotone along every horizontal and
+    vertical segment, so its extremes sit at corners.
     The caller pads each cell so that it holds the float corners it
     evaluates.  A corner value is within the same gamma of
     sum |c| |x|^i |y|^j, and a corner of the cell has |x| <= ax and
@@ -168,13 +192,16 @@ class _Encloser:
         c = [(i, j, _float(coeff, "section coefficient"))
              for (i, j), coeff in f.terms]
         fx, fy = _ddx(c), _ddy(c)
+        fxx, fxy, fyy = _ddx(fx), _ddy(fx), _ddy(fy)
         self.deg_x = max((i for i, _, _ in c), default=0)
         self.deg_y = max((j for _, j, _ in c), default=0)
-        # f, f_x and f_y at a point, and sum |c| x^i y^j with the bounds
-        # B_xx, B_xy and B_yy at a point (ax, ay)
-        self.point = _Sums([c, fx, fy], self.deg_x, self.deg_y)
-        self.bound = _Sums([_absolute(c), _absolute(_ddx(fx)),
-                            _absolute(_ddy(fx)), _absolute(_ddy(fy))],
+        # f and its first and second derivatives at a point; then the abs
+        # sums at a point (ax, ay): sum |c| x^i y^j with the B, and the T
+        self.point = _Sums([c, fx, fy, fxx, fxy, fyy], self.deg_x, self.deg_y)
+        self.bound = _Sums([_absolute(c), _absolute(fxx), _absolute(fxy),
+                            _absolute(fyy)], self.deg_x, self.deg_y)
+        self.third = _Sums([_absolute(_ddx(fxx)), _absolute(_ddy(fxx)),
+                            _absolute(_ddy(fxy)), _absolute(_ddy(fyy))],
                            self.deg_x, self.deg_y)
         degree = max((i + j for i, j, _ in c), default=0)
         self.slack_scale = max(4.0 * len(c) + 16.0,
@@ -193,19 +220,28 @@ class _Encloser:
             px = _powers(np.concatenate([cx, ax]), self.deg_x)
             py = _powers(np.concatenate([cy, ay]), self.deg_y)
             n = cx.size
-            v, dx, dy = self.point(px[:, :n], py[:, :n])
+            v, dx, dy, dxx, dxy, dyy = self.point(px[:, :n], py[:, :n])
             size, bxx, bxy, byy = self.bound(px[:, n:], py[:, n:])
+            txxx, txxy, txyy, tyyy = self.third(px[:, n:], py[:, n:])
             dx, dy = np.abs(dx), np.abs(dy)
-            # V_x and V_y, widened as r is
+            # r's bounds on the variation of f_x and f_y, widened as r is
             hx, hy = 0.5 * wx * (1.0 + 1e-12), 0.5 * wy * (1.0 + 1e-12)
             vx = hx * bxx + hy * bxy
             vy = hx * bxy + hy * byy
             slack = self.slack_scale * size
             r = (0.5 * wx * (dx + vx) + 0.5 * wy * (dy + vy)) \
                 * (1.0 + 1e-12) + slack
+            # G_xx, G_xy and G_yy, each centre value with its slack
+            sx, sy = slack / ax, slack / ay
+            gxx = np.minimum(bxx, np.abs(dxx) + hx * txxx + hy * txxy
+                             + sx * (self.deg_x * (self.deg_x - 1)) / ax)
+            gxy = np.minimum(bxy, np.abs(dxy) + hx * txxy + hy * txyy
+                             + sx * (self.deg_x * self.deg_y) / ay)
+            gyy = np.minimum(byy, np.abs(dyy) + hx * txyy + hy * tyyy
+                             + sy * (self.deg_y * (self.deg_y - 1)) / ay)
             # NaN compares false, and an infinite r marks an overflowed cell
-            sure = (dx > vx + slack * self.deg_x / ax) \
-                & (dy > vy + slack * self.deg_y / ay) & np.isfinite(r)
+            sure = (dx > hx * gxx + hy * gxy + sx * self.deg_x) \
+                & (dy > hx * gxy + hy * gyy + sy * self.deg_y) & np.isfinite(r)
             return v - r, v + r, sure, slack
 
     def corners(self, x, y, slack):

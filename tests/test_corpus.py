@@ -1,10 +1,12 @@
-"""The 34-input analyze corpus against the benchmark's seed-0 goldens.
+"""The 34-input analyze corpus and the 18 section counts against the
+benchmark's seed-0 goldens.
 
 Every report must equal its golden, cone generators included; only the
 `input` path and the `versions` strings are left out.  A change to any
-pipeline stage that moves a report therefore shows up here.  The inputs
-are built as the benchmark builds them at seed 0; the goldens file is only
-read.
+pipeline stage that moves a report therefore shows up here.  Every plane
+section must count its golden number of components at each of its three
+refinements.  The inputs are built as the benchmark builds them at seed 0;
+the goldens file is only read.
 """
 
 import json
@@ -12,10 +14,13 @@ from pathlib import Path
 
 import pytest
 
+from test_acceptance import SECTION_CASES
+
 from germcone.cli import main
 from germcone.families import (family_f, family_g, family_linear_union,
                                transform_embed, transform_product)
 from germcone.hilbert import germ_multiplicity
+from germcone.numtopo import SectionSpec, count_components
 from germcone.parser import IdealFile, format_ideal, parse_ideal
 
 GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "goldens.json"
@@ -81,3 +86,26 @@ def test_multiplicity_matches_golden(args, goldens):
     label = "multiplicity union(" + ",".join(map(str, args)) + ")"
     got = germ_multiplicity(family_linear_union(*args))
     assert list(got) == goldens["multiplicity"][label]
+
+
+def section_label(kind, l, var, value):
+    return f"{kind}(l={l}) {var}={value}"
+
+
+def test_sections_cover_the_goldens(goldens):
+    assert sorted(section_label(kind, l, *pin)
+                  for kind, l, pin, *_ in SECTION_CASES) == \
+        sorted(goldens["sections"])
+
+
+@pytest.mark.parametrize("case, extra", [
+    pytest.param(case, extra, id=f"{section_label(case[0], case[1], *case[2])}"
+                 f" depth+{extra}")
+    for case in SECTION_CASES for extra in range(3)])
+def test_section_count_matches_golden(case, extra, goldens):
+    kind, l, (var, value), box, depth, _ = case
+    f = family_g(l) if kind == "g" else family_f(3, l)
+    spec = SectionSpec(f=f, fixed_assignments={var: value}, box=box,
+                       resolution=(box[1] - box[0]) / 2 ** (depth + extra))
+    want = goldens["sections"][section_label(kind, l, var, value)]
+    assert count_components(spec).count == want

@@ -11,10 +11,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import evaluate, free_vars, interval_eval, zero
 
+from germcone.families import family_g
 from germcone.groebner import ResourceLimitExceeded
 from germcone.numtopo import (
     _BLOCK, CELL_BUDGET, SectionSpec, _arcs, _component_count, _Encloser,
-    _occupied_cells, component_cells, count_components)
+    _occupied_cells, _powers, component_cells, count_components)
 from germcone.polyring import Polynomial
 
 V2 = ("x", "y")
@@ -222,6 +223,59 @@ def test_circle_certifies_away_from_its_critical_points():
     assert sure and mask == 0b1100
 
 
+def _abs_sum(g, ax, ay):
+    return sum(abs(c) * ax ** i * ay ** j for (i, j), c in g.terms)
+
+
+def test_third_order_certifies_where_the_abs_sums_cannot():
+    # a cell of the g(4) section at z = 1/2, the benchmark's box split 9
+    # times, where the curve runs from the bottom side to the left one.
+    # Bounding f_x's variation by the abs sums of the second derivatives at
+    # (|cx| + w/2, |cy| + w/2) leaves it above |f_x(c)| even in exact
+    # arithmetic; second derivatives at the centre certify the cell.
+    f = family_g(4).substitute({"z": Fraction(1, 2)})
+    w = Fraction(5, 8) / 2 ** 9
+    cx = Fraction(-5, 16) + (384 + Fraction(1, 2)) * w
+    cy = Fraction(-5, 16) + (416 + Fraction(1, 2)) * w
+    sure, mask = _certify(f, float(cx), float(cy), float(w), float(w))
+    assert sure and mask == 0b1110
+    for bit, (px, py) in enumerate(((cx - w / 2, cy - w / 2),
+                                    (cx + w / 2, cy - w / 2),
+                                    (cx - w / 2, cy + w / 2),
+                                    (cx + w / 2, cy + w / 2))):
+        assert (evaluate(f, {"x": px, "y": py}) > 0) == bool(mask >> bit & 1)
+    fx = f.derivative("x")
+    ax, ay = abs(cx) + w / 2, abs(cy) + w / 2
+    variation = w / 2 * (_abs_sum(fx.derivative("x"), ax, ay)
+                         + _abs_sum(fx.derivative("y"), ax, ay))
+    assert abs(evaluate(fx, {"x": cx, "y": cy})) < variation
+
+
+finite = st.floats(min_value=-4, max_value=4)
+width = st.floats(min_value=2 ** -20, max_value=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly2, finite, finite, width, width)
+def test_centre_second_derivatives_within_their_slack(f, cx, cy, wx, wy):
+    """The computed f_xx, f_xy and f_yy at a cell's centre are within the
+    slack that _Encloser's certificate adds to each, of the exact values."""
+    enclose = _Encloser(f)
+    *_, slack = enclose(np.array([cx]), np.array([cy]), wx, wy)
+    dx, dy = enclose.deg_x, enclose.deg_y
+    _, _, _, fxx, fxy, fyy = enclose.point(_powers(np.array([cx]), dx),
+                                           _powers(np.array([cy]), dy))
+    ax, ay = Fraction(abs(cx) + 0.5 * wx), Fraction(abs(cy) + 0.5 * wy)
+    slack = Fraction(float(slack[0]))
+    point = {"x": Fraction(cx), "y": Fraction(cy)}
+    fx, fy = f.derivative("x"), f.derivative("y")
+    for g, got, allowed in (
+            (fx.derivative("x"), fxx, slack * dx * (dx - 1) / ax ** 2),
+            (fx.derivative("y"), fxy, slack * dx * dy / (ax * ay)),
+            (fy.derivative("y"), fyy, slack * dy * (dy - 1) / ay ** 2)):
+        assert abs(Fraction(float(got[0])) - evaluate(g, point)) <= allowed
+
+
 # --- component counts ---
 
 def test_circle():
@@ -310,9 +364,13 @@ def test_section_of_three_variables():
 
 
 # the circle at resolution 1/64: 2405 cells and 532 rows, all at level 8,
-# on the uniform grid
+# on the uniform grid.  Its third derivatives are 0, so second derivatives
+# at the centre certify no more of it than their abs sums do.
 CIRCLE_CELLS = 389
 CIRCLE_ROWS = 60
+# the lemniscate at resolution 1/256: 1285 cells when the abs sums of the
+# second derivatives alone bound the gradient's variation
+LEMNISCATE_CELLS = 1061
 
 
 def test_determinism_and_cells():
@@ -337,6 +395,12 @@ def test_determinism_and_cells():
         covered |= cells
     levels = sorted({round(4 / wx).bit_length() - 1 for _, _, wx, _ in rows_a})
     assert levels[0] < 8
+
+
+def test_lemniscate_cells():
+    f, box, res, _ = PINNED_CURVES["lemniscate"]
+    assert count_components(spec(f, box, res)).cells_examined == \
+        LEMNISCATE_CELLS
 
 
 def test_budget_exhaustion_raises():
